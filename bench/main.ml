@@ -759,26 +759,26 @@ let e15 () =
     ]
   in
   Printf.printf "auto choice per workload (operation: expectation of Z_0):\n";
+  let z0 = Qdt.Job.Expectation_z { seed = 0; qubit = 0 } in
   List.iter
     (fun (name, c) ->
-      let (module B : Qdt.Backend.BACKEND), reason =
-        Qdt.Auto.choose ~op:Qdt.Backend.Expectation_z c
-      in
-      Printf.printf "  %-16s -> %-18s %s\n" name B.name reason)
+      let (module S : Qdt.Backend.SESSION), reason = Qdt.Auto.choose c z0 in
+      Printf.printf "  %-16s -> %-18s %s\n" name S.name reason)
     workloads;
   Printf.printf "\nunified telemetry, same circuit through every capable backend:\n";
   let c = Generators.ghz 12 in
   List.iter
-    (fun (module B : Qdt.Backend.BACKEND) ->
-      match B.expectation_z c 0 with
-      | Ok (v, stats) ->
+    (fun engine ->
+      match Qdt.Backend.run_once engine c z0 with
+      | Ok (Qdt.Job.Expectation v, stats) ->
           Printf.printf "  <Z0|ghz12> = %+.3f  %s\n" v (Qdt.Backend.stats_to_string stats)
+      | Ok _ -> assert false
       | Error e -> Printf.printf "  skipped: %s\n" (Qdt.Backend.error_to_string e))
     (Qdt.Registry.all ());
   let sample_via name shots =
-    match Qdt.Registry.find name with
-    | Some (module B : Qdt.Backend.BACKEND) -> fun c ->
-        (match B.sample ~shots c with Ok _ -> () | Error _ -> ())
+    match Qdt.Registry.find_session name with
+    | Some engine -> fun c ->
+        ignore (Qdt.Backend.run_once engine c (Qdt.Job.Sample { seed = 0; shots }))
     | None -> fun _ -> ()
   in
   run_timings ~name:"e15"
@@ -1521,7 +1521,7 @@ let e21 ~smoke () =
    across jobs, so a repeated Clifford+T workload re-runs against warm
    caches instead of rebuilding them per request (the amortizable
    structures of DAC'22 §III / arXiv:2108.07027).  Cold = a fresh
-   engine per job (exactly what every one-shot BACKEND call does);
+   engine per job (exactly what every [Backend.run_once] call does);
    warm = one engine for the whole batch.  The gate fails if warm is
    not faster than cold. *)
 

@@ -164,27 +164,67 @@ let unknown_backend name =
    gets a closest-match suggestion instead of cmdliner's bare enum error. *)
 let backend_name_arg =
   let parse s =
-    if Option.is_some (Qdt.Registry.find s) then Ok s
+    if Option.is_some (Qdt.Registry.find_session s) then Ok s
     else Error (`Msg (unknown_backend s))
   in
   Arg.conv (parse, Format.pp_print_string)
+
+let engine_of name =
+  match Qdt.Registry.find_session name with
+  | Some engine -> engine
+  | None ->
+      prerr_endline (unknown_backend name);
+      exit 1
 
 let backend_arg =
   Arg.(value & opt backend_name_arg "decision-diagrams" & info [ "backend"; "b" ] ~docv:"BACKEND"
          ~doc:"Simulation backend: arrays, decision-diagrams, tensor-network, mps, \
                stabilizer, or auto (portfolio dispatch).")
 
-(* The unitary prefix a shots=0 full-state request runs (measurements,
-   resets and classical control stripped), shared by simulate / profile /
-   run. *)
-let unitary_part c =
-  List.fold_left
-    (fun acc i ->
-      match i with
-      | Circuit.Measure _ | Circuit.Reset _ | Circuit.If _ -> acc
-      | _ -> Circuit.add i acc)
-    (Circuit.empty (Circuit.num_qubits c))
-    (Circuit.instructions c)
+(* The job simulate / profile / run submit for one circuit: with
+   [shots = 0] the full state of its unitary part (measurements, resets
+   and classical control stripped), else [shots] samples of the whole
+   circuit. *)
+let job_for ~shots ~seed c =
+  if shots = 0 then
+    ( Qdt.Job.Full_state,
+      List.fold_left
+        (fun acc i ->
+          match i with
+          | Circuit.Measure _ | Circuit.Reset _ | Circuit.If _ -> acc
+          | _ -> Circuit.add i acc)
+        (Circuit.empty (Circuit.num_qubits c))
+        (Circuit.instructions c) )
+  else (Qdt.Job.Sample { seed; shots }, c)
+
+(* The one result printer of simulate / profile / run: a state lists the
+   amplitudes above [threshold]; counts of a measuring circuit are keyed
+   by the classical register, of a measure-free circuit by every qubit. *)
+let print_payload ~threshold c = function
+  | Qdt.Job.State state ->
+      Qdt.Linalg.Vec.iteri
+        (fun k amp ->
+          let p = Qdt.Linalg.Cx.norm2 amp in
+          if p > threshold then
+            Printf.printf "  |%s>  %-22s  p=%.6f\n"
+              (bitstring (Circuit.num_qubits c) k)
+              (Qdt.Linalg.Cx.to_string amp) p)
+        state
+  | Qdt.Job.Counts counts ->
+      let key_bits =
+        if Circuit.has_measure c then Circuit.num_clbits c else Circuit.num_qubits c
+      in
+      List.iter
+        (fun (k, count) -> Printf.printf "  %s  %d\n" (bitstring key_bits k) count)
+        counts
+  | Qdt.Job.Amplitude_of amp -> Printf.printf "  %s\n" (Qdt.Linalg.Cx.to_string amp)
+  | Qdt.Job.Expectation v -> Printf.printf "  <Z> = %.9f\n" v
+
+let default_threshold = 1e-9
+
+let threshold_arg =
+  Arg.(value & opt float default_threshold & info [ "threshold" ]
+         ~doc:"Hide amplitudes below this probability.")
 
 let print_stats stats = Printf.printf "stats: %s\n" (Qdt.Backend.stats_to_string stats)
 
@@ -206,8 +246,8 @@ let simulate_cmd =
   let run c backend_name shots seed threshold gc_threshold cache_bits jobs trace
       trace_format metrics profile top report dump_on_error =
     apply_jobs jobs;
-    (* The registry hands out backends behind the fixed BACKEND signature,
-       so DD memory-management knobs travel through the package defaults. *)
+    (* Engines are created through the fixed SESSION signature, so DD
+       memory-management knobs travel through the package defaults. *)
     (match gc_threshold with
     | Some t ->
         if t < 0 then begin
@@ -224,18 +264,8 @@ let simulate_cmd =
         end;
         Qdt.Dd.Pkg.default_cache_bits := b
     | None -> ());
-    let (module B : Qdt.Backend.BACKEND) =
-      match Qdt.Registry.find backend_name with
-      | Some m -> m
-      | None ->
-          prerr_endline (unknown_backend backend_name);
-          exit 1
-    in
-    let unitary_part = unitary_part c in
-    let n = Circuit.num_qubits c in
-    (* Counts of a measuring circuit are keyed by the classical register;
-       a measure-free circuit samples all qubits. *)
-    let key_bits = if Circuit.has_measure c then Circuit.num_clbits c else n in
+    let engine = engine_of backend_name in
+    let job, target = job_for ~shots ~seed c in
     with_obs ~profile ~top ~trace ~trace_format ~metrics @@ fun () ->
     let rep =
       if report <> None || dump_on_error then begin
@@ -285,41 +315,22 @@ let simulate_cmd =
           crash_dump (Printexc.to_string e) (Printexc.get_backtrace ());
           raise e
     in
-    if shots = 0 then begin
-      match spanned (fun () -> B.simulate unitary_part) with
-      | Error err -> declined err
-      | Ok (state, stats) ->
-          Printf.printf "final state (backend: %s):\n" stats.Qdt.Backend.backend;
-          Qdt.Linalg.Vec.iteri
-            (fun k amp ->
-              let p = Qdt.Linalg.Cx.norm2 amp in
-              if p > threshold then
-                Printf.printf "  |%s>  %-22s  p=%.6f\n" (bitstring n k)
-                  (Qdt.Linalg.Cx.to_string amp) p)
-            state;
-          print_stats stats;
-          finish_report stats
-    end
-    else begin
-      match spanned (fun () -> B.sample ~seed ~shots c) with
-      | Error err -> declined err
-      | Ok (counts, stats) ->
+    match spanned (fun () -> Qdt.Backend.run_once engine target job) with
+    | Error err -> declined err
+    | Ok (payload, stats) ->
+        if shots = 0 then
+          Printf.printf "final state (backend: %s):\n" stats.Qdt.Backend.backend
+        else
           Printf.printf "counts over %d shots (backend: %s):\n" shots
             stats.Qdt.Backend.backend;
-          List.iter
-            (fun (k, count) -> Printf.printf "  %s  %d\n" (bitstring key_bits k) count)
-            counts;
-          print_stats stats;
-          finish_report stats
-    end
+        print_payload ~threshold c payload;
+        print_stats stats;
+        finish_report stats
   in
   let shots =
     Arg.(value & opt int 0 & info [ "shots" ] ~doc:"Sample N shots instead of printing the state.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"RNG seed.") in
-  let threshold =
-    Arg.(value & opt float 1e-9 & info [ "threshold" ] ~doc:"Hide amplitudes below this probability.")
-  in
   let gc_threshold =
     Arg.(value & opt (some int) None & info [ "dd-gc-threshold" ] ~docv:"NODES"
            ~doc:"DD backend: run mark-and-sweep GC when the unique table grows past \
@@ -331,7 +342,7 @@ let simulate_cmd =
   in
   let term =
     Term.(const run $ file_pos ~doc:"OpenQASM file to simulate" 0 $ backend_arg $ shots $ seed
-          $ threshold $ gc_threshold $ cache_bits $ jobs_arg $ trace_arg $ trace_format_arg
+          $ threshold_arg $ gc_threshold $ cache_bits $ jobs_arg $ trace_arg $ trace_format_arg
           $ metrics_arg $ profile_arg $ top_arg $ report_arg $ dump_on_error_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate a circuit with a chosen data structure") term
@@ -354,13 +365,7 @@ let run_cmd =
       prerr_endline "qdt run: no circuits given (positional FILEs or --circuit FILE)";
       exit 1
     end;
-    let (module S : Qdt.Backend.SESSION) =
-      match Qdt.Registry.find_session backend_name with
-      | Some m -> m
-      | None ->
-          prerr_endline (unknown_backend backend_name);
-          exit 1
-    in
+    let (module S : Qdt.Backend.SESSION) = engine_of backend_name in
     with_obs ~trace ~trace_format ~metrics @@ fun () ->
     (* One session for the whole batch: backend state (DD unique table and
        compute caches, statevector buffers, tableau rows) stays warm
@@ -371,38 +376,14 @@ let run_cmd =
     let failures = ref 0 in
     List.iteri
       (fun i (path, c) ->
-        let job, target =
-          if shots = 0 then (Qdt.Job.Full_state, unitary_part c)
-          else (Qdt.Job.Sample { seed; shots }, c)
-        in
+        let job, target = job_for ~shots ~seed c in
         Printf.printf "[%d/%d] %s: %s\n" (i + 1) total path (Qdt.Job.describe job);
         match S.submit session target job with
         | Error err ->
             incr failures;
             Printf.printf "  error: %s\n" (Qdt.Backend.error_to_string err)
         | Ok (payload, stats) ->
-            (match payload with
-            | Qdt.Job.State state ->
-                let n = Circuit.num_qubits target in
-                Qdt.Linalg.Vec.iteri
-                  (fun k amp ->
-                    let p = Qdt.Linalg.Cx.norm2 amp in
-                    if p > threshold then
-                      Printf.printf "  |%s>  %-22s  p=%.6f\n" (bitstring n k)
-                        (Qdt.Linalg.Cx.to_string amp) p)
-                  state
-            | Qdt.Job.Counts counts ->
-                let key_bits =
-                  if Circuit.has_measure c then Circuit.num_clbits c
-                  else Circuit.num_qubits c
-                in
-                List.iter
-                  (fun (k, count) ->
-                    Printf.printf "  %s  %d\n" (bitstring key_bits k) count)
-                  counts
-            | Qdt.Job.Amplitude_of amp ->
-                Printf.printf "  %s\n" (Qdt.Linalg.Cx.to_string amp)
-            | Qdt.Job.Expectation v -> Printf.printf "  <Z> = %.9f\n" v);
+            print_payload ~threshold c payload;
             Printf.printf "  ";
             print_stats stats)
       circuits;
@@ -423,12 +404,8 @@ let run_cmd =
            ~doc:"Sample N shots per circuit instead of printing each state.")
   in
   let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"RNG seed (per job).") in
-  let threshold =
-    Arg.(value & opt float 1e-9 & info [ "threshold" ]
-           ~doc:"Hide amplitudes below this probability.")
-  in
   let term =
-    Term.(const run $ files $ extra $ backend_arg $ shots $ seed $ threshold
+    Term.(const run $ files $ extra $ backend_arg $ shots $ seed $ threshold_arg
           $ jobs_arg $ trace_arg $ trace_format_arg $ metrics_arg)
   in
   Cmd.v
@@ -505,10 +482,10 @@ let report_cmd =
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* [qdt profile] is [simulate] minus the state dump plus the hotspot
-   table: run the circuit once with tracing on, aggregate the span ring
-   into a profile (Qdt_obs.Profile), print the top-N table and write
-   folded stacks. *)
+(* [qdt profile] is [simulate] plus the hotspot table: run the circuit
+   once with tracing on, print its result, aggregate the span ring into a
+   profile (Qdt_obs.Profile), print the top-N table and write folded
+   stacks. *)
 let profile_cmd =
   let run c backend_name shots seed jobs top folded capacity =
     apply_jobs jobs;
@@ -516,34 +493,22 @@ let profile_cmd =
       prerr_endline "--ring-capacity must be >= 2";
       exit 1
     end;
-    let (module B : Qdt.Backend.BACKEND) =
-      match Qdt.Registry.find backend_name with
-      | Some m -> m
-      | None ->
-          prerr_endline (unknown_backend backend_name);
-          exit 1
-    in
-    let unitary_part = unitary_part c in
+    let engine = engine_of backend_name in
+    let job, target = job_for ~shots ~seed c in
     Qdt.Obs.Trace.configure ~capacity ();
     Qdt.Obs.Trace.set_enabled true;
     let outcome =
       Qdt.Obs.Trace.with_span "qdt.profile" (fun () ->
-          if shots = 0 then
-            match B.simulate unitary_part with
-            | Ok (_, stats) -> Ok stats
-            | Error e -> Error e
-          else
-            match B.sample ~seed ~shots c with
-            | Ok (_, stats) -> Ok stats
-            | Error e -> Error e)
+          Qdt.Backend.run_once engine target job)
     in
     Qdt.Obs.Trace.set_enabled false;
     match outcome with
     | Error err -> backend_failure err
-    | Ok stats ->
+    | Ok (payload, stats) ->
         Printf.printf "profiled %s (%d qubits, %d instructions, backend: %s)\n"
           (if shots = 0 then "simulate" else Printf.sprintf "sample --shots %d" shots)
           (Circuit.num_qubits c) (Circuit.count_total c) stats.Qdt.Backend.backend;
+        print_payload ~threshold:default_threshold c payload;
         print_profile ~top ~folded_path:folded;
         print_stats stats
   in
@@ -580,9 +545,9 @@ let backends_cmd =
     Printf.printf "%-18s %-6s %-5s %-7s %-7s %-11s %-9s %-9s %s\n" "backend" "state"
       "amp" "sample" "<Z>" "measure" "dynamic" "clifford" "max-qubits";
     List.iter
-      (fun (module B : Qdt.Backend.BACKEND) ->
-        let c = B.capabilities in
-        Printf.printf "%-18s %-6s %-5s %-7s %-7s %-11s %-9s %-9s %s\n" B.name
+      (fun (module S : Qdt.Backend.SESSION) ->
+        let c = S.capabilities in
+        Printf.printf "%-18s %-6s %-5s %-7s %-7s %-11s %-9s %-9s %s\n" S.name
           (mark c.Qdt.Backend.full_state)
           (mark c.Qdt.Backend.amplitude)
           (mark c.Qdt.Backend.sample)

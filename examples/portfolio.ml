@@ -30,23 +30,24 @@ let workloads =
   ]
 
 let () =
-  let (module Auto : Qdt.Backend.BACKEND) = Option.get (Qdt.Registry.find "auto") in
+  let auto = Option.get (Qdt.Registry.find_session "auto") in
   print_endline "Auto-dispatch: 1000 shots per workload through the portfolio backend";
   List.iter
     (fun (name, c) ->
       Printf.printf "\n%s\n" name;
-      match Auto.sample ~seed:1 ~shots:1000 c with
-      | Ok (counts, stats) ->
+      match Qdt.Backend.run_once auto c (Qdt.Job.Sample { seed = 1; shots = 1000 }) with
+      | Ok (Qdt.Job.Counts counts, stats) ->
           Printf.printf "  distinct outcomes: %d\n" (List.length counts);
           Printf.printf "  %s\n" (Qdt.Backend.stats_to_string stats)
+      | Ok _ -> assert false (* a Sample job always returns Counts *)
       | Error e -> Printf.printf "  %s\n" (Qdt.Backend.error_to_string e))
     workloads;
 
   print_endline "\nCapability matrix (what the dispatcher filters on):";
   List.iter
-    (fun (module B : Qdt.Backend.BACKEND) ->
-      let c = B.capabilities in
-      Printf.printf "  %-18s state=%b amp=%b sample=%b <Z>=%b measure=%b%s\n" B.name
+    (fun (module S : Qdt.Backend.SESSION) ->
+      let c = S.capabilities in
+      Printf.printf "  %-18s state=%b amp=%b sample=%b <Z>=%b measure=%b%s\n" S.name
         c.Qdt.Backend.full_state c.Qdt.Backend.amplitude c.Qdt.Backend.sample
         c.Qdt.Backend.expectation_z c.Qdt.Backend.supports_nonunitary
         (if c.Qdt.Backend.clifford_only then " (Clifford only)" else ""))

@@ -66,11 +66,12 @@ let () =
   (* -------------------------------------------------------------- *)
   section "Every registered backend that can build the state agrees";
   List.iter
-    (fun (module B : Qdt.Backend.BACKEND) ->
-      match B.simulate bell with
-      | Ok (state, stats) ->
-          Printf.printf "  %-18s alpha_00 = %-22s (%.1f us)\n" B.name
+    (fun ((module S : Qdt.Backend.SESSION) as engine) ->
+      match Qdt.Backend.run_once engine bell Qdt.Job.Full_state with
+      | Ok (Qdt.Job.State state, stats) ->
+          Printf.printf "  %-18s alpha_00 = %-22s (%.1f us)\n" S.name
             (Cx.to_string (Vec.get state 0))
             (1e6 *. stats.Qdt.Backend.wall_s)
-      | Error e -> Printf.printf "  %-18s %s\n" B.name (Qdt.Backend.error_to_string e))
+      | Ok _ -> assert false (* a Full_state job always returns a State *)
+      | Error e -> Printf.printf "  %-18s %s\n" S.name (Qdt.Backend.error_to_string e))
     (Qdt.Registry.all ())

@@ -1,7 +1,8 @@
-(* First-class backend abstraction: the module type every simulation
+(* First-class backend abstraction: the engine interface every simulation
    backend implements, the capability record the portfolio dispatcher
-   queries, and the unified run-telemetry (stats) record every operation
-   returns.  See DESIGN.md, "Backend layer". *)
+   queries, the admission guard every engine shares, and the unified
+   run-telemetry (stats) record every job returns.  See DESIGN.md,
+   "Backend layer". *)
 
 type capabilities = {
   full_state : bool;
@@ -107,9 +108,9 @@ let w_heap = Qdt_obs.Watermark.watermark "heap.peak_heap_words"
 (* Session labels for the per-session dimension on [qdt.backend.runs].
    Labels must stay low-cardinality (the metrics registry hard-caps series
    per base name), so only the first [max_labeled_sessions] sessions of a
-   process get their own value; the rest share "overflow".  One-shot shim
-   calls carry no session label at all, keeping their series identical to
-   the pre-session layer. *)
+   process get their own value; the rest share "overflow".  One-shot
+   [run_once] calls carry no session label at all, keeping their series
+   identical to the pre-session layer. *)
 let session_seq = Atomic.make 0
 let max_labeled_sessions = 32
 
@@ -226,59 +227,52 @@ let stats_to_string (s : stats) =
 
 let pp_stats ppf s = Format.pp_print_string ppf (stats_to_string s)
 
-module type BACKEND = sig
-  val name : string
-  val capabilities : capabilities
+(* The one dense-output cap every engine shares: a [Full_state] job
+   materialises 2^n amplitudes of 16 bytes each, so 24 qubits is 256 MiB. *)
+let max_dense_qubits = 24
 
-  (** Final state of a unitary circuit from [|0…0⟩]. *)
-  val simulate : Qdt_circuit.Circuit.t -> Qdt_linalg.Vec.t outcome
-
-  (** [amplitude c k] — ⟨k|C|0…0⟩. *)
-  val amplitude : Qdt_circuit.Circuit.t -> int -> Qdt_linalg.Cx.t outcome
-
-  (** [sample ?seed ~shots c] — measurement counts over all qubits. *)
-  val sample : ?seed:int -> shots:int -> Qdt_circuit.Circuit.t -> (int * int) list outcome
-
-  (** [expectation_z ?seed c q] — [⟨Z_q⟩] of the final state ([seed] drives
-      mid-circuit measurement collapse where the backend supports it). *)
-  val expectation_z : ?seed:int -> Qdt_circuit.Circuit.t -> int -> float outcome
-end
-
-type t = (module BACKEND)
-
-(* Shared admission guard used by the adapters: operation capability,
-   qubit-count limit, and measurement/reset handling.  [Full_state] and
-   [Amplitude] always require a unitary circuit (a collapsed state is not
-   "the" final state); [Sample]/[Expectation_z] admit measurements exactly
-   when the backend executes them ([supports_nonunitary]). *)
-let admit ~name ~caps ~operation c =
-  if not (supports caps operation) then
-    unsupported ~backend:name ~operation "operation not provided by this backend"
+(* The shared admission guard, called once at the top of every engine's
+   [submit]: operation capability, qubit-count limit, the dense-output
+   cap, job parameters inside the circuit, and measurement/reset
+   handling.  [Full_state] and [Amplitude] always require a unitary
+   circuit (a collapsed state is not "the" final state);
+   [Sample]/[Expectation_z] admit measurements exactly when the backend
+   executes them ([supports_nonunitary]). *)
+let admit ~name ~caps c job =
+  let operation = operation_of_job job in
+  let decline reason = unsupported ~backend:name ~operation reason in
+  if not (supports caps operation) then decline "operation not provided by this backend"
   else
     let num_qubits = Qdt_circuit.Circuit.num_qubits c in
-    match caps.max_qubits with
-    | Some m when num_qubits > m ->
-        unsupported ~backend:name ~operation
-          (Printf.sprintf "circuit has %d qubits, backend limit is %d" num_qubits m)
+    match (caps.max_qubits, job) with
+    | Some m, _ when num_qubits > m ->
+        decline (Printf.sprintf "circuit has %d qubits, backend limit is %d" num_qubits m)
+    | _, Job.Full_state when num_qubits > max_dense_qubits ->
+        decline
+          (Printf.sprintf "a dense state of %d qubits exceeds the %d-qubit limit"
+             num_qubits max_dense_qubits)
+    (* From 62 qubits on, [1 lsl n] overflows and every non-negative
+       int is a valid index. *)
+    | _, Job.Amplitude k when k < 0 || (num_qubits < 62 && k >= 1 lsl num_qubits) ->
+        decline (Printf.sprintf "amplitude index %d is outside [0, 2^%d)" k num_qubits)
+    | _, Job.Expectation_z { qubit; _ } when qubit < 0 || qubit >= num_qubits ->
+        decline (Printf.sprintf "qubit %d is outside [0, %d)" qubit num_qubits)
     | _ ->
         if Qdt_circuit.Circuit.has_conditionals c && not caps.dynamic then
-          unsupported ~backend:name ~operation
-            "circuit contains classically-controlled operations"
+          decline "circuit contains classically-controlled operations"
         else if Qdt_circuit.Circuit.is_unitary_only c then Ok ()
         else if
           caps.supports_nonunitary
           && (operation = Sample || operation = Expectation_z)
         then Ok ()
-        else
-          unsupported ~backend:name ~operation
-            "circuit contains measurements or resets"
+        else decline "circuit contains measurements or resets"
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The engine interface behind the session layer: [create] allocates the
-   backend's expensive shared state once, [submit] executes jobs against
+(* The one engine interface every backend implements: [create] allocates
+   the backend's expensive shared state once, [submit] executes jobs against
    it (unique tables, compute caches, statevector buffers and tableau
    allocations persist between jobs), [close] retires it.  See DESIGN.md,
    "Sessions and jobs". *)
@@ -316,49 +310,10 @@ let session_closed ~backend job =
       reason = "session is closed";
     }
 
-(* [Of_session] derives the historical one-shot [BACKEND] functions from
-   a session engine: open a session, submit one job, close.  A fresh
-   session starts from the exact state the pre-session adapters built per
-   call, so these shims are bit-identical to the old code paths — the
-   registry, auto, CLI, bench and every differential test ride on them
-   unchanged. *)
-module Of_session (S : SESSION) = struct
-  let name = S.name
-  let capabilities = S.capabilities
-
-  let one_shot c job =
-    let s = S.create () in
-    Fun.protect ~finally:(fun () -> S.close s) (fun () -> S.submit s c job)
-
-  let payload_mismatch operation =
-    Error
-      {
-        backend = S.name;
-        operation = operation_name operation;
-        reason = "internal error: session returned a mismatched job payload";
-      }
-
-  let simulate c =
-    match one_shot c Job.Full_state with
-    | Ok (Job.State v, stats) -> Ok (v, stats)
-    | Ok _ -> payload_mismatch Full_state
-    | Error e -> Error e
-
-  let amplitude c k =
-    match one_shot c (Job.Amplitude k) with
-    | Ok (Job.Amplitude_of a, stats) -> Ok (a, stats)
-    | Ok _ -> payload_mismatch Amplitude
-    | Error e -> Error e
-
-  let sample ?(seed = 0) ~shots c =
-    match one_shot c (Job.Sample { seed; shots }) with
-    | Ok (Job.Counts counts, stats) -> Ok (counts, stats)
-    | Ok _ -> payload_mismatch Sample
-    | Error e -> Error e
-
-  let expectation_z ?(seed = 0) c q =
-    match one_shot c (Job.Expectation_z { seed; qubit = q }) with
-    | Ok (Job.Expectation v, stats) -> Ok (v, stats)
-    | Ok _ -> payload_mismatch Expectation_z
-    | Error e -> Error e
-end
+(* [run_once engine c job] — one job on a fresh engine: open, submit,
+   close.  A fresh session starts from the exact state the pre-session
+   adapters built per call, so one-shot results are bit-identical to a
+   cold session's. *)
+let run_once (module S : SESSION) c job =
+  let s = S.create () in
+  Fun.protect ~finally:(fun () -> S.close s) (fun () -> S.submit s c job)

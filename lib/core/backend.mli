@@ -1,9 +1,10 @@
 (** First-class simulation backends (the architecture the paper's
-    complementarity argument asks for): a common module type over the four
-    data structures plus the stabilizer formalism, a machine-readable
-    capability record, and a unified telemetry record so callers — CLI,
-    bench harness, portfolio dispatcher — can discover what a backend can
-    do and what a run cost. *)
+    complementarity argument asks for): one engine interface
+    ({!SESSION}) over the four data structures plus the stabilizer
+    formalism, a machine-readable capability record, one admission guard
+    every engine shares, and a unified telemetry record so callers — CLI,
+    bench harness, portfolio dispatcher, server — can discover what a
+    backend can do and what a run cost. *)
 
 (** What a backend can do.  The portfolio dispatcher ({!Backend_auto})
     filters on this before applying its heuristics. *)
@@ -45,7 +46,7 @@ type heap_stats = {
   top_heap_words : int;  (** process-lifetime peak major-heap size *)
 }
 
-(** The unified run record: every backend operation returns one. *)
+(** The unified run record: every job returns one. *)
 type stats = {
   backend : string;  (** backend that actually ran (Auto reports its pick) *)
   wall_s : float;  (** wall-clock seconds (shared clock: {!Qdt_obs.Clock}) *)
@@ -104,38 +105,27 @@ val timed : ?span:string -> ?session:string -> (unit -> 'a) -> 'a * measure
 val stats_to_string : stats -> string
 val pp_stats : Format.formatter -> stats -> unit
 
-(** The signature every backend adapter implements. *)
-module type BACKEND = sig
-  val name : string
-  val capabilities : capabilities
+(** The dense-output cap every engine shares: a [Full_state] job on more
+    qubits is declined by {!admit}.  Arrays and tensor networks cap the
+    circuit itself at this width. *)
+val max_dense_qubits : int
 
-  (** Final state of a unitary circuit from [|0…0⟩]. *)
-  val simulate : Qdt_circuit.Circuit.t -> Qdt_linalg.Vec.t outcome
-
-  (** [amplitude c k] — ⟨k|C|0…0⟩. *)
-  val amplitude : Qdt_circuit.Circuit.t -> int -> Qdt_linalg.Cx.t outcome
-
-  (** [sample ?seed ~shots c] — measurement counts over all qubits. *)
-  val sample : ?seed:int -> shots:int -> Qdt_circuit.Circuit.t -> (int * int) list outcome
-
-  (** [expectation_z ?seed c q] — [⟨Z_q⟩] of the final state ([seed] drives
-      mid-circuit measurement collapse where the backend supports it). *)
-  val expectation_z : ?seed:int -> Qdt_circuit.Circuit.t -> int -> float outcome
-end
-
-type t = (module BACKEND)
-
-(** [admit ~name ~caps ~operation c] — the shared admission guard:
-    capability, qubit limit, and measurement/reset handling. *)
+(** [admit ~name ~caps c job] — the shared admission guard every engine
+    calls once at the top of [submit].  It declines, with a typed error:
+    an operation the capability record lacks; a circuit wider than
+    [caps.max_qubits]; a [Full_state] job above {!max_dense_qubits}; an
+    [Amplitude k] outside [[0, 2^n)]; an [Expectation_z] qubit outside
+    [[0, n)]; classical control on a backend without [dynamic]; and
+    measurements or resets where the job or backend cannot take them. *)
 val admit :
   name:string ->
   caps:capabilities ->
-  operation:operation ->
   Qdt_circuit.Circuit.t ->
+  Job.t ->
   (unit, error) result
 
-(** The engine interface behind the session layer: [create] allocates
-    the backend's expensive shared state once, [submit] executes
+(** The one engine interface every backend implements: [create]
+    allocates the backend's expensive shared state once, [submit] executes
     {!Job.t}s against it (unique tables, compute caches, statevector
     buffers and tableau allocations persist between jobs of one
     session), [close] retires it.  Stats on each submit are per-job
@@ -167,9 +157,7 @@ type engine = (module SESSION)
 (** The typed error every engine returns for a submit after close. *)
 val session_closed : backend:string -> Job.t -> ('a, error) result
 
-(** [Of_session (S)] — the historical one-shot [BACKEND] functions as
-    thin shims over a session engine: open a session, submit one job,
-    close.  A fresh session starts from the exact state the pre-session
-    adapters built per call, so these shims are bit-identical to the
-    old code paths. *)
-module Of_session (S : SESSION) : BACKEND
+(** [run_once engine c job] — one job on a fresh engine: create, submit,
+    then close (also when [submit] raises).  Results are bit-identical to
+    a cold session's. *)
+val run_once : engine -> Qdt_circuit.Circuit.t -> Job.t -> Job.result outcome

@@ -19,7 +19,7 @@ module Session = struct
       expectation_z = true;
       supports_nonunitary = true;
       clifford_only = false;
-      max_qubits = Some 24;
+      max_qubits = Some Backend.max_dense_qubits;
       dynamic = true;
     }
 
@@ -31,7 +31,6 @@ module Session = struct
 
   let create ?label () = { label; closed = false; sv = None }
   let close t = t.closed <- true
-  let admit operation c = Backend.admit ~name ~caps:capabilities ~operation c
 
   let acquire t n =
     match t.sv with
@@ -80,8 +79,7 @@ module Session = struct
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
-      let operation = Backend.operation_of_job job in
-      let* () = admit operation c in
+      let* () = Backend.admit ~name ~caps:capabilities c job in
       let session = t.label in
       match job with
       | Job.Full_state ->
@@ -120,5 +118,3 @@ module Session = struct
           in
           Ok (Job.Expectation v, stats m)
 end
-
-include Backend.Of_session (Session)

@@ -9,11 +9,11 @@
      4. small generic                  -> dense arrays
      5. anything else                  -> decision diagrams
 
-   Each rule only fires when the target backend admits the requested
-   operation on the given circuit, so e.g. a full-state request on a
-   Clifford circuit falls through to a state-producing backend.  The chosen
-   backend and the reason are logged in the [note] field of the returned
-   stats record.
+   Each rule only fires when the target engine admits the job on the
+   given circuit (the shared guard, {!Backend.admit}), so e.g. a
+   full-state request on a Clifford circuit falls through to a
+   state-producing backend.  The chosen backend and the reason are
+   logged in the [note] field of the returned stats record.
 
    An auto session routes per job and opens the chosen backend's session
    lazily the first time a job lands on it, then keeps it for the rest of
@@ -22,6 +22,7 @@
 
 module Circuit = Qdt_circuit.Circuit
 
+let ( let* ) r f = Result.bind r f
 let name = "auto"
 
 let capabilities =
@@ -41,52 +42,38 @@ let capabilities =
 let features = Features.analyze
 let t_heavy = Features.t_heavy
 
-(* Both faces of one backend: the one-shot module for [choose], the
-   session engine for routing inside an auto session. *)
-type target = {
-  backend : (module Backend.BACKEND);
-  session : (module Backend.SESSION);
-}
+let admits (module S : Backend.SESSION) c job =
+  Result.is_ok (Backend.admit ~name:S.name ~caps:S.capabilities c job)
 
-let stabilizer_t =
-  { backend = (module Backend_stabilizer); session = (module Backend_stabilizer.Session) }
+let stabilizer : Backend.engine = (module Backend_stabilizer.Session)
+let mps : Backend.engine = (module Backend_mps.Session)
+let dd : Backend.engine = (module Backend_dd.Session)
+let arrays : Backend.engine = (module Backend_arrays.Session)
 
-let mps_t = { backend = (module Backend_mps); session = (module Backend_mps.Session) }
-let dd_t = { backend = (module Backend_dd); session = (module Backend_dd.Session) }
-
-let arrays_t =
-  { backend = (module Backend_arrays); session = (module Backend_arrays.Session) }
-
-let admits { backend = (module B : Backend.BACKEND); _ } ~op c =
-  match Backend.admit ~name:B.name ~caps:B.capabilities ~operation:op c with
-  | Ok () -> true
-  | Error _ -> false
-
-let choose_target ~op c =
+(* [choose c job] — the engine the rules pick for [job] on [c], and why. *)
+let choose c job =
   let f = features c in
   let rules =
     [
       ( f.Features.clifford,
-        stabilizer_t,
+        stabilizer,
         Printf.sprintf
           "pure Clifford circuit on %d qubits: stabilizer tableau is O(n^2)"
           f.qubits );
-      ( f.qubits >= 12 && f.two_qubit > 0
-        && f.nn_fraction >= 0.95
-        && not (op = Backend.Full_state && f.qubits > Backend_mps.max_dense_qubits),
-        mps_t,
+      ( f.qubits >= 12 && f.two_qubit > 0 && f.nn_fraction >= 0.95,
+        mps,
         Printf.sprintf
           "%.0f%% of two-qubit gates are nearest-neighbour: low entanglement \
            growth, MPS bond dimension stays small"
           (100.0 *. f.nn_fraction) );
       ( t_heavy f,
-        dd_t,
+        dd,
         Printf.sprintf
           "T-heavy circuit (t-count %d of %d gates): decision diagrams \
            exploit Clifford+T structure"
           f.t_count f.gates );
       ( f.qubits <= 20,
-        arrays_t,
+        arrays,
         Printf.sprintf
           "generic circuit on %d <= 20 qubits: dense state vector is \
            simplest and fastest"
@@ -94,7 +81,7 @@ let choose_target ~op c =
     ]
   in
   let fallback =
-    ( dd_t,
+    ( dd,
       Printf.sprintf
         "generic circuit on %d qubits: decision diagrams exploit redundancy \
          without the 2^n array"
@@ -102,13 +89,9 @@ let choose_target ~op c =
   in
   let rec pick = function
     | [] -> fallback
-    | (cond, t, reason) :: rest -> if cond && admits t ~op c then (t, reason) else pick rest
+    | (cond, e, reason) :: rest -> if cond && admits e c job then (e, reason) else pick rest
   in
   pick rules
-
-let choose ~op c =
-  let target, reason = choose_target ~op c in
-  (target.backend, reason)
 
 let annotate reason = function
   | Ok (v, stats) -> Ok (v, { stats with Backend.note = Some reason })
@@ -146,10 +129,8 @@ module Session = struct
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
-      let op = Backend.operation_of_job job in
-      let target, reason = choose_target ~op c in
-      let (Opened ((module S), s)) = sub_session t target.session in
+      let* () = Backend.admit ~name ~caps:capabilities c job in
+      let engine, reason = choose c job in
+      let (Opened ((module S), s)) = sub_session t engine in
       annotate reason (S.submit s c job)
 end
-
-include Backend.Of_session (Session)

@@ -40,7 +40,6 @@ module Session = struct
     { mgr; label; closed = false; mark = Pkg.cache_stats mgr }
 
   let close t = t.closed <- true
-  let admit operation c = Backend.admit ~name ~caps:capabilities ~operation c
 
   (* Step the simulation manually, tracking the largest intermediate DD. *)
   let run_tracked mgr ~seed c =
@@ -124,8 +123,7 @@ module Session = struct
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
-      let operation = Backend.operation_of_job job in
-      let* () = admit operation c in
+      let* () = Backend.admit ~name ~caps:capabilities c job in
       let (st, peak, payload), m =
         Backend.timed ~span:(span_of_job job) ?session:t.label (fun () ->
             match job with
@@ -174,5 +172,3 @@ module Session = struct
       t.mark <- Pkg.cache_stats t.mgr;
       Ok (payload, stats)
 end
-
-include Backend.Of_session (Session)

@@ -5,14 +5,10 @@
    per job (bond dimensions are circuit-shaped, so there is no buffer
    worth caching), the session carries only the label and liveness. *)
 
-module Circuit = Qdt_circuit.Circuit
 module Decompose = Qdt_compile.Decompose
 module Mps = Qdt_tensornet.Mps
 
 let ( let* ) r f = Result.bind r f
-
-(* Densifying the full state is exponential regardless of bond dimension. *)
-let max_dense_qubits = 22
 
 module Session = struct
   let name = "mps"
@@ -33,7 +29,6 @@ module Session = struct
 
   let create ?label () = { label; closed = false }
   let close t = t.closed <- true
-  let admit operation c = Backend.admit ~name ~caps:capabilities ~operation c
   let run c = Mps.run (Decompose.lower ~basis:Decompose.Two_qubit c)
 
   let stats_of m mps =
@@ -50,24 +45,17 @@ module Session = struct
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
+      let* () = Backend.admit ~name ~caps:capabilities c job in
       let session = t.label in
       match job with
       | Job.Full_state ->
-          let* () = admit Backend.Full_state c in
-          if Circuit.num_qubits c > max_dense_qubits then
-            Backend.unsupported ~backend:name ~operation:Backend.Full_state
-              (Printf.sprintf
-                 "densifying %d qubits exceeds the %d-qubit dense limit"
-                 (Circuit.num_qubits c) max_dense_qubits)
-          else
-            let (mps, state), m =
-              Backend.timed ~span:"mps.simulate" ?session (fun () ->
-                  let mps = run c in
-                  (mps, Mps.to_vec mps))
-            in
-            Ok (Job.State state, stats_of m mps)
+          let (mps, state), m =
+            Backend.timed ~span:"mps.simulate" ?session (fun () ->
+                let mps = run c in
+                (mps, Mps.to_vec mps))
+          in
+          Ok (Job.State state, stats_of m mps)
       | Job.Amplitude k ->
-          let* () = admit Backend.Amplitude c in
           let (mps, amp), m =
             Backend.timed ~span:"mps.amplitude" ?session (fun () ->
                 let mps = run c in
@@ -75,7 +63,6 @@ module Session = struct
           in
           Ok (Job.Amplitude_of amp, stats_of m mps)
       | Job.Sample { seed; shots } ->
-          let* () = admit Backend.Sample c in
           let (mps, counts), m =
             Backend.timed ~span:"mps.sample" ?session (fun () ->
                 let mps = run c in
@@ -83,7 +70,6 @@ module Session = struct
           in
           Ok (Job.Counts counts, stats_of m mps)
       | Job.Expectation_z { seed = _; qubit } ->
-          let* () = admit Backend.Expectation_z c in
           let (mps, v), m =
             Backend.timed ~span:"mps.expectation-z" ?session (fun () ->
                 let mps = run c in
@@ -91,5 +77,3 @@ module Session = struct
           in
           Ok (Job.Expectation v, stats_of m mps)
 end
-
-include Backend.Of_session (Session)

@@ -33,11 +33,11 @@ module Session = struct
   let create ?label () = { label; closed = false; tab = None }
   let close t = t.closed <- true
 
-  let admit operation c =
-    let* () = Backend.admit ~name ~caps:capabilities ~operation c in
+  let admit c job =
+    let* () = Backend.admit ~name ~caps:capabilities c job in
     if Tableau.supports c then Ok ()
     else
-      Backend.unsupported ~backend:name ~operation
+      Backend.unsupported ~backend:name ~operation:(Backend.operation_of_job job)
         "circuit contains non-Clifford gates"
 
   let acquire t n =
@@ -90,18 +90,13 @@ module Session = struct
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
+      let* () = admit c job in
       let session = t.label in
       match job with
-      | Job.Full_state ->
-          ignore (Circuit.num_qubits c);
-          Backend.unsupported ~backend:name ~operation:Backend.Full_state
-            "stabilizer tableaus have no amplitude access"
-      | Job.Amplitude _ ->
-          ignore (Circuit.num_qubits c);
-          Backend.unsupported ~backend:name ~operation:Backend.Amplitude
-            "stabilizer tableaus have no amplitude access"
+      | Job.Full_state | Job.Amplitude _ ->
+          (* declined by [admit]: tableaus have no amplitude access *)
+          assert false
       | Job.Sample { seed; shots } ->
-          let* () = admit Backend.Sample c in
           let (tab, counts), m =
             Backend.timed ~span:"stabilizer.sample" ?session (fun () ->
                 match Shot_engine.plan c with
@@ -128,7 +123,6 @@ module Session = struct
           in
           Ok (Job.Counts counts, stats_of m tab)
       | Job.Expectation_z { seed; qubit } ->
-          let* () = admit Backend.Expectation_z c in
           let (tab, v), m =
             Backend.timed ~span:"stabilizer.expectation-z" ?session (fun () ->
                 let tab, _clbits = run_in t ~seed c in
@@ -136,5 +130,3 @@ module Session = struct
           in
           Ok (Job.Expectation v, stats_of m tab)
 end
-
-include Backend.Of_session (Session)

@@ -3,7 +3,6 @@
    session wrapper is stateless: a network is built and contracted per
    job, the session carries only the label and liveness. *)
 
-module Circuit = Qdt_circuit.Circuit
 module Tn = Qdt_tensornet.Circuit_tn
 
 let ( let* ) r f = Result.bind r f
@@ -20,7 +19,7 @@ module Session = struct
       expectation_z = true;
       supports_nonunitary = false;
       clifford_only = false;
-      max_qubits = Some 24;
+      max_qubits = Some Backend.max_dense_qubits;
       dynamic = false;
     }
 
@@ -28,41 +27,33 @@ module Session = struct
 
   let create ?label () = { label; closed = false }
   let close t = t.closed <- true
-  let admit operation c = Backend.admit ~name ~caps:capabilities ~operation c
   let stats m = Backend.base_stats name m
 
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
+      let* () = Backend.admit ~name ~caps:capabilities c job in
       let session = t.label in
       match job with
       | Job.Full_state ->
-          let* () = admit Backend.Full_state c in
           let (state, _contraction), m =
             Backend.timed ~span:"tn.simulate" ?session (fun () ->
                 Tn.statevector (Tn.of_circuit c))
           in
           Ok (Job.State state, stats m)
       | Job.Amplitude k ->
-          let* () = admit Backend.Amplitude c in
           let (amp, _contraction), m =
             Backend.timed ~span:"tn.amplitude" ?session (fun () ->
                 Tn.amplitude (Tn.of_circuit c) k)
           in
           Ok (Job.Amplitude_of amp, stats m)
       | Job.Sample _ ->
-          Backend.unsupported ~backend:name ~operation:Backend.Sample
-            (Printf.sprintf
-               "tensor-network contraction yields single quantities, not samples \
-                (circuit on %d qubits)"
-               (Circuit.num_qubits c))
+          (* declined by [admit]: contraction yields single quantities *)
+          assert false
       | Job.Expectation_z { seed = _; qubit } ->
-          let* () = admit Backend.Expectation_z c in
           let (v, _contraction), m =
             Backend.timed ~span:"tn.expectation-z" ?session (fun () ->
                 Tn.expectation_z c qubit)
           in
           Ok (Job.Expectation v, stats m)
 end
-
-include Backend.Of_session (Session)

@@ -10,8 +10,8 @@ module Stabilizer = Qdt_stabilizer
 module Obs = Qdt_obs
 module Par = Qdt_par
 
-(* The backend layer: module type + capabilities + stats, the registry of
-   adapters, and the portfolio dispatcher. *)
+(* The backend layer: engine interface + capabilities + stats, the
+   registry of engines, and the portfolio dispatcher. *)
 module Backend = Backend
 module Job = Job
 module Registry = Registry
@@ -38,32 +38,39 @@ let backend_name = function
 let all_backends = [ Arrays_backend; Decision_diagrams; Tensor_network; Mps ]
 
 (* Every variant is registered at startup by {!Registry}. *)
-let backend_module b : Backend.t =
-  match Registry.find (backend_name b) with
+let backend_module b : Backend.engine =
+  match Registry.find_session (backend_name b) with
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Qdt: backend %s not registered" (backend_name b))
 
 (* Compatibility shim: the historical API raised [Invalid_argument] on
    unsupported combinations; the registry returns typed errors. *)
-let lift op = function
-  | Ok (v, _stats) -> v
+let run op ~backend c job =
+  match Backend.run_once (backend_module backend) c job with
+  | Ok (result, _stats) -> result
   | Error e -> invalid_arg (Printf.sprintf "Qdt.%s: %s" op (Backend.error_to_string e))
 
+let mismatch op = invalid_arg (Printf.sprintf "Qdt.%s: mismatched job payload" op)
+
 let simulate ~backend c =
-  let (module B : Backend.BACKEND) = backend_module backend in
-  lift "simulate" (B.simulate c)
+  match run "simulate" ~backend c Job.Full_state with
+  | Job.State v -> v
+  | _ -> mismatch "simulate"
 
 let amplitude ~backend c k =
-  let (module B : Backend.BACKEND) = backend_module backend in
-  lift "amplitude" (B.amplitude c k)
+  match run "amplitude" ~backend c (Job.Amplitude k) with
+  | Job.Amplitude_of a -> a
+  | _ -> mismatch "amplitude"
 
 let sample ~backend ?(seed = 0) ~shots c =
-  let (module B : Backend.BACKEND) = backend_module backend in
-  lift "sample" (B.sample ~seed ~shots c)
+  match run "sample" ~backend c (Job.Sample { seed; shots }) with
+  | Job.Counts counts -> counts
+  | _ -> mismatch "sample"
 
 let expectation_z ~backend ?(seed = 0) c q =
-  let (module B : Backend.BACKEND) = backend_module backend in
-  lift "expectation_z" (B.expectation_z ~seed c q)
+  match run "expectation_z" ~backend c (Job.Expectation_z { seed; qubit = q }) with
+  | Job.Expectation v -> v
+  | _ -> mismatch "expectation_z"
 
 type compiled = {
   circuit : Qdt_circuit.Circuit.t;

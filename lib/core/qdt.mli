@@ -40,19 +40,19 @@ module Par = Qdt_par
 
 (** {1 The backend layer}
 
-    {!Backend} defines the [BACKEND] module type (capability record,
-    unified stats record, typed unsupported-operation errors);
-    {!Registry} holds the registered adapters (["arrays"],
-    ["decision-diagrams"], ["tensor-network"], ["mps"], ["stabilizer"],
-    ["auto"]); {!Auto} is the portfolio dispatcher that picks a backend
-    per circuit and logs its choice in the stats record.
+    {!Backend} defines the one engine interface, [SESSION] (capability
+    record, unified stats record, typed unsupported-operation errors,
+    and the shared admission guard); {!Registry} holds the registered
+    engines (["arrays"], ["decision-diagrams"], ["tensor-network"],
+    ["mps"], ["stabilizer"], ["auto"]); {!Auto} is the portfolio
+    dispatcher that picks a backend per job and logs its choice in the
+    stats record.  {!Backend.run_once} runs one job on a fresh engine.
 
     {[
-      let (module B : Qdt.Backend.BACKEND) =
-        Option.get (Qdt.Registry.find "auto")
-      in
-      match B.sample ~shots:100 circuit with
-      | Ok (counts, stats) -> (* stats.backend says what actually ran *)
+      let auto = Option.get (Qdt.Registry.find_session "auto") in
+      match Qdt.Backend.run_once auto circuit (Qdt.Job.Sample { seed = 0; shots = 100 }) with
+      | Ok (Qdt.Job.Counts counts, stats) -> (* stats.backend says what actually ran *)
+      | Ok _ -> assert false (* a Sample job always returns Counts *)
       | Error e -> prerr_endline (Qdt.Backend.error_to_string e)
     ]} *)
 
@@ -91,9 +91,10 @@ module Features = Features
 
 (** {1 Simulation}
 
-    The historical closed-variant front door, kept as a shim over the
-    registry: unsupported combinations raise [Invalid_argument] as they
-    always did (the registry API returns typed errors instead). *)
+    The historical closed-variant front door: each call is one
+    {!Backend.run_once} on the registered engine, and unsupported
+    combinations raise [Invalid_argument] as they always did (the
+    registry API returns typed errors instead). *)
 
 type backend =
   | Arrays_backend          (** dense state vector (Section II) *)
@@ -110,8 +111,8 @@ type backend =
 val backend_name : backend -> string
 val all_backends : backend list
 
-(** [backend_module b] — the registered adapter behind variant [b]. *)
-val backend_module : backend -> Backend.t
+(** [backend_module b] — the registered engine behind variant [b]. *)
+val backend_module : backend -> Backend.engine
 
 (** [simulate ~backend c] — final state of the unitary circuit [c] from
     [|0…0⟩]; all backends agree up to numerical noise. *)

@@ -1,30 +1,23 @@
-(* The backend registry: the single place the CLI, bench harness, examples
-   and tests discover simulation backends.  Built-in backends are
+(* The backend registry: the single place the CLI, bench harness, server,
+   examples and tests discover simulation engines.  Built-in engines are
    registered at module initialisation; [register] lets future backends
-   plug in without touching any consumer.  Each backend registers twice:
-   its one-shot [BACKEND] face and its [SESSION] engine, under the same
-   name. *)
+   plug in without touching any consumer. *)
 
-let table : (string, Backend.t) Hashtbl.t = Hashtbl.create 8
-let session_table : (string, Backend.engine) Hashtbl.t = Hashtbl.create 8
+let table : (string, Backend.engine) Hashtbl.t = Hashtbl.create 8
 let order : string list ref = ref []
 
-let register (module B : Backend.BACKEND) =
-  if not (Hashtbl.mem table B.name) then order := B.name :: !order;
-  Hashtbl.replace table B.name (module B : Backend.BACKEND)
+let register (module S : Backend.SESSION) =
+  if not (Hashtbl.mem table S.name) then order := S.name :: !order;
+  Hashtbl.replace table S.name (module S : Backend.SESSION)
 
-let register_session (module S : Backend.SESSION) =
-  Hashtbl.replace session_table S.name (module S : Backend.SESSION)
-
-let find name : Backend.t option = Hashtbl.find_opt table name
-let find_session name : Backend.engine option = Hashtbl.find_opt session_table name
+let find_session name : Backend.engine option = Hashtbl.find_opt table name
 let names () = List.rev !order
 
 let all () =
   List.filter_map (fun name -> Hashtbl.find_opt table name) (names ())
 
 let capabilities_of name =
-  Option.map (fun (module B : Backend.BACKEND) -> B.capabilities) (find name)
+  Option.map (fun (module S : Backend.SESSION) -> S.capabilities) (find_session name)
 
 (* Edit distance for "did you mean …?" on unknown backend names. *)
 let levenshtein a b =
@@ -57,15 +50,6 @@ let suggest name =
 
 let () =
   List.iter register
-    [
-      (module Backend_arrays : Backend.BACKEND);
-      (module Backend_dd : Backend.BACKEND);
-      (module Backend_tensornet : Backend.BACKEND);
-      (module Backend_mps : Backend.BACKEND);
-      (module Backend_stabilizer : Backend.BACKEND);
-      (module Backend_auto : Backend.BACKEND);
-    ];
-  List.iter register_session
     [
       (module Backend_arrays.Session : Backend.SESSION);
       (module Backend_dd.Session : Backend.SESSION);

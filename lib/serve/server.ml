@@ -97,6 +97,7 @@ type tstate = Queued | Running | Done | Abandoned
 
 type ticket = {
   t_req : Protocol.job_request;
+  t_engine : Qdt.Backend.engine;  (** the engine named by [t_req.backend] *)
   t_circuit : Qdt_circuit.Circuit.t;
   enqueue_ns : int;
   tmu : Mutex.t;
@@ -155,9 +156,7 @@ let run_job t (k : ticket) =
     | Some name ->
         Session_pool.submit t.pool ~session:name ~backend:req.Protocol.backend
           k.t_circuit req.Protocol.job
-    | None ->
-        Session_pool.submit_once ~backend:req.Protocol.backend k.t_circuit
-          req.Protocol.job
+    | None -> Ok (Qdt.Backend.run_once k.t_engine k.t_circuit req.Protocol.job)
   with exn ->
     (* A raising engine is a bug, but it must cost this job only. *)
     Ok
@@ -310,11 +309,12 @@ let submit_and_await t (req : Protocol.job_request) circuit =
       in
       count_job "error";
       r
-  | Some _ -> (
+  | Some engine -> (
       let pipe_r, pipe_w = Unix.pipe () in
       let k =
         {
           t_req = req;
+          t_engine = engine;
           t_circuit = circuit;
           enqueue_ns = Clock.now_ns ();
           tmu = Mutex.create ();

@@ -140,23 +140,6 @@ let submit t ~session ~backend c job =
       Mutex.unlock e.emu;
       Ok outcome
 
-let submit_once ~backend c job =
-  match Qdt.Registry.find_session backend with
-  | None ->
-      Error
-        (Unknown_backend
-           { requested = backend; suggestion = Qdt.Registry.suggest backend })
-  | Some (module S : Qdt.Backend.SESSION) ->
-      let s = S.create () in
-      let outcome =
-        try S.submit s c job
-        with exn ->
-          S.close s;
-          raise exn
-      in
-      S.close s;
-      Ok outcome
-
 let close t ~session =
   let removed =
     locked t @@ fun () ->

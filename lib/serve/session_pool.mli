@@ -37,14 +37,6 @@ val submit :
   Qdt.Job.t ->
   (Qdt.Job.result Qdt.Backend.outcome, error) result
 
-(** One-shot submit: a fresh engine per call (create → submit → close) —
-    the cold path a request without a session takes. *)
-val submit_once :
-  backend:string ->
-  Qdt_circuit.Circuit.t ->
-  Qdt.Job.t ->
-  (Qdt.Job.result Qdt.Backend.outcome, error) result
-
 (** [close t ~session] — close and drop the named session; [false] when
     it was not open.  Waits for an in-flight submit on the entry. *)
 val close : t -> session:string -> bool

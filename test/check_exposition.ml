@@ -4,7 +4,7 @@
    and the request counters are nonzero — the contract the CI smoke job
    enforces after driving load through the server. *)
 
-module Prom = Qdt_obs.Prom
+module Prom = Qdt_prom.Prom
 
 let read_all ic =
   let b = Buffer.create 4096 in

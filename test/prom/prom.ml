@@ -1,5 +1,5 @@
 (* Prometheus text exposition parser — the inverse of
-   [Metrics.render_prometheus], strict enough that CI can fail a scrape
+   [Qdt_obs.Metrics.render_prometheus], strict enough that CI can fail a scrape
    that a real Prometheus server would reject.
 
    The format (version 0.0.4) is line-oriented: [# HELP]/[# TYPE]

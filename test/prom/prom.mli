@@ -1,5 +1,5 @@
 (** Parser/validator for the Prometheus text exposition format
-    (version 0.0.4) — the inverse of {!Metrics.render_prometheus}, so a
+    (version 0.0.4) — the inverse of {!Qdt_obs.Metrics.render_prometheus}, so a
     scrape of [qdt serve]'s [GET /metrics] can be validated in-tree (CI,
     tests) without a Python dependency.
 

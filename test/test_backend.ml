@@ -1,16 +1,21 @@
 (* Tests for the backend layer: registry contents, capability queries,
-   typed unsupported-operation errors, the Auto dispatcher's routing, the
-   unified stats record, and shim consistency of the old Qdt API. *)
+   typed unsupported-operation errors, the shared admission guard, the
+   Auto dispatcher's routing, the unified stats record, and shim
+   consistency of the old Qdt API. *)
 
 open Qdt_circuit
 module Backend = Qdt.Backend
+module Job = Qdt.Job
 module Registry = Qdt.Registry
 module Vec = Qdt_linalg.Vec
 
 let get name =
-  match Registry.find name with
+  match Registry.find_session name with
   | Some m -> m
   | None -> Alcotest.failf "backend %s not registered" name
+
+let run name c job = Backend.run_once (get name) c job
+let sample_job shots = Job.Sample { seed = 0; shots }
 
 let nn_chain n =
   let c = ref (Circuit.empty n) in
@@ -35,7 +40,7 @@ let test_registry_contents () =
       if not (List.mem expected names) then Alcotest.failf "%s missing" expected)
     [ "arrays"; "decision-diagrams"; "tensor-network"; "mps"; "stabilizer"; "auto" ];
   Alcotest.(check int) "six backends" 6 (List.length (Registry.all ()));
-  Alcotest.(check bool) "unknown name" true (Registry.find "qubit-frobnicator" = None)
+  Alcotest.(check bool) "unknown name" true (Registry.find_session "qubit-frobnicator" = None)
 
 let test_capability_queries () =
   let caps name = Option.get (Registry.capabilities_of name) in
@@ -51,11 +56,11 @@ let test_capability_queries () =
   let arrays = caps "arrays" in
   Alcotest.(check bool) "arrays bounded" true (arrays.Backend.max_qubits <> None);
   List.iter
-    (fun (module B : Backend.BACKEND) ->
+    (fun (module S : Backend.SESSION) ->
       Alcotest.(check bool)
-        (B.name ^ " expectation-z")
+        (S.name ^ " expectation-z")
         true
-        (Backend.supports B.capabilities Backend.Expectation_z))
+        (Backend.supports S.capabilities Backend.Expectation_z))
     (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
@@ -69,52 +74,68 @@ let expect_error name = function
 
 let test_typed_errors () =
   let bell = Generators.bell in
-  let (module Tn : Backend.BACKEND) = get "tensor-network" in
-  expect_error "tn sample" (Tn.sample ~shots:10 bell);
-  let (module Stab : Backend.BACKEND) = get "stabilizer" in
-  expect_error "stabilizer simulate" (Stab.simulate bell);
-  expect_error "stabilizer amplitude" (Stab.amplitude bell 0);
-  expect_error "stabilizer non-clifford" (Stab.sample ~shots:10 t_heavy);
+  expect_error "tn sample" (run "tensor-network" bell (sample_job 10));
+  expect_error "stabilizer simulate" (run "stabilizer" bell Job.Full_state);
+  expect_error "stabilizer amplitude" (run "stabilizer" bell (Job.Amplitude 0));
+  expect_error "stabilizer non-clifford" (run "stabilizer" t_heavy (sample_job 10));
   let measured = Circuit.(empty 2 ~clbits:2 |> h 0 |> measure ~qubit:0 ~clbit:0) in
-  let (module Mps : Backend.BACKEND) = get "mps" in
-  expect_error "mps measurements" (Mps.sample ~shots:10 measured);
-  let (module Arrays : Backend.BACKEND) = get "arrays" in
-  expect_error "arrays full state of measured circuit" (Arrays.simulate measured);
+  expect_error "mps measurements" (run "mps" measured (sample_job 10));
+  expect_error "arrays full state of measured circuit" (run "arrays" measured Job.Full_state);
   expect_error "arrays too wide"
-    (Arrays.simulate (Circuit.empty 30 |> Circuit.h 0));
+    (run "arrays" (Circuit.empty 30 |> Circuit.h 0) Job.Full_state);
   (* ...but the same measured circuit is samplable where supported *)
-  (match Arrays.sample ~shots:5 measured with
+  (match run "arrays" measured (sample_job 5) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "arrays sample measured: %s" (Backend.error_to_string e))
+
+(* ------------------------------------------------------------------ *)
+(* The shared admission guard                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every engine declines, with a typed error, a dense state too wide to
+   allocate (2^40 amplitudes are 16 TiB) and job parameters that fall
+   outside the circuit. *)
+let test_shared_guard () =
+  let wide = Generators.ghz 40 and ghz5 = Generators.ghz 5 in
+  List.iter
+    (fun ((module S : Backend.SESSION) as engine) ->
+      let declines what c job =
+        expect_error (S.name ^ " " ^ what) (Backend.run_once engine c job)
+      in
+      declines "40-qubit full state" wide Job.Full_state;
+      declines "amplitude 32 of 5 qubits" ghz5 (Job.Amplitude 32);
+      declines "amplitude -1" ghz5 (Job.Amplitude (-1));
+      declines "<Z_5> of 5 qubits" ghz5 (Job.Expectation_z { seed = 0; qubit = 5 });
+      declines "<Z_-1>" ghz5 (Job.Expectation_z { seed = 0; qubit = -1 }))
+    (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Auto dispatcher routing                                             *)
 (* ------------------------------------------------------------------ *)
 
-let choice op c =
-  let (module B : Backend.BACKEND), _reason = Qdt.Auto.choose ~op c in
-  B.name
+let choice job c =
+  let (module S : Backend.SESSION), _reason = Qdt.Auto.choose c job in
+  S.name
 
 let test_auto_routing () =
   let clifford = Generators.random_clifford ~seed:5 ~gates:80 6 in
   Alcotest.(check string) "clifford -> stabilizer" "stabilizer"
-    (choice Backend.Sample clifford);
+    (choice (sample_job 100) clifford);
   Alcotest.(check string) "low entanglement -> mps" "mps"
-    (choice Backend.Expectation_z (nn_chain 16));
+    (choice (Job.Expectation_z { seed = 0; qubit = 0 }) (nn_chain 16));
   Alcotest.(check string) "t-heavy -> dd" "decision-diagrams"
-    (choice Backend.Full_state t_heavy);
+    (choice Job.Full_state t_heavy);
   Alcotest.(check string) "generic small -> arrays" "arrays"
-    (choice Backend.Full_state (Generators.qft 6));
+    (choice Job.Full_state (Generators.qft 6));
   (* capability-aware fallthrough: stabilizer cannot produce the state *)
   Alcotest.(check bool) "clifford full state avoids stabilizer" true
-    (choice Backend.Full_state clifford <> "stabilizer")
+    (choice Job.Full_state clifford <> "stabilizer")
 
 let test_auto_results_and_note () =
-  let (module Auto : Backend.BACKEND) = get "auto" in
   let c = Generators.ghz 5 in
-  match Auto.sample ~seed:1 ~shots:200 c with
+  match run "auto" c (Job.Sample { seed = 1; shots = 200 }) with
   | Error e -> Alcotest.failf "auto sample: %s" (Backend.error_to_string e)
-  | Ok (counts, stats) ->
+  | Ok (Job.Counts counts, stats) ->
       Alcotest.(check string) "ghz is clifford" "stabilizer" stats.Backend.backend;
       Alcotest.(check bool) "choice logged" true (stats.Backend.note <> None);
       Alcotest.(check bool) "tableau telemetry" true (stats.Backend.tableau_bytes <> None);
@@ -124,14 +145,14 @@ let test_auto_results_and_note () =
         (fun (k, _) ->
           if k <> 0 && k <> 31 then Alcotest.failf "ghz outcome %d" k)
         counts
+  | Ok _ -> Alcotest.fail "auto sample: not a counts payload"
 
 (* ------------------------------------------------------------------ *)
 (* Unified stats                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_dd_telemetry () =
-  let (module Dd : Backend.BACKEND) = get "decision-diagrams" in
-  match Dd.simulate (Generators.qft 6) with
+  match run "decision-diagrams" (Generators.qft 6) Job.Full_state with
   | Error e -> Alcotest.failf "dd simulate: %s" (Backend.error_to_string e)
   | Ok (_, stats) -> (
       match stats.Backend.dd with
@@ -149,8 +170,7 @@ let test_dd_telemetry () =
             && d.Backend.compute_hit_rate <= 1.0))
 
 let test_mps_telemetry () =
-  let (module Mps : Backend.BACKEND) = get "mps" in
-  match Mps.simulate (Generators.ghz 8) with
+  match run "mps" (Generators.ghz 8) Job.Full_state with
   | Error e -> Alcotest.failf "mps simulate: %s" (Backend.error_to_string e)
   | Ok (_, stats) -> (
       match stats.Backend.mps with
@@ -166,8 +186,11 @@ let test_mps_telemetry () =
 let test_shim_matches_registry () =
   let c = Generators.qft 5 in
   let via_shim = Qdt.simulate ~backend:Qdt.Decision_diagrams c in
-  let (module Dd : Backend.BACKEND) = get "decision-diagrams" in
-  let via_registry = match Dd.simulate c with Ok (v, _) -> v | Error _ -> assert false in
+  let via_registry =
+    match run "decision-diagrams" c Job.Full_state with
+    | Ok (Job.State v, _) -> v
+    | _ -> assert false
+  in
   Alcotest.(check bool) "identical states" true
     (Vec.approx_equal ~eps:1e-12 via_shim via_registry);
   (* the shim still raises on unsupported combinations *)
@@ -181,11 +204,12 @@ let test_backends_agree () =
   let c = Generators.w_state 6 in
   let reference = Qdt.simulate ~backend:Qdt.Arrays_backend c in
   List.iter
-    (fun (module B : Backend.BACKEND) ->
-      match B.simulate c with
-      | Ok (state, _) ->
+    (fun ((module S : Backend.SESSION) as engine) ->
+      match Backend.run_once engine c Job.Full_state with
+      | Ok (Job.State state, _) ->
           if not (Vec.approx_equal ~eps:1e-7 reference state) then
-            Alcotest.failf "%s disagrees on w(6)" B.name
+            Alcotest.failf "%s disagrees on w(6)" S.name
+      | Ok _ -> Alcotest.failf "%s: not a state payload" S.name
       | Error _ -> () (* stabilizer: no state access *))
     (Registry.all ())
 
@@ -210,6 +234,7 @@ let () =
           Alcotest.test_case "capabilities" `Quick test_capability_queries;
         ] );
       ("errors", [ Alcotest.test_case "typed unsupported" `Quick test_typed_errors ]);
+      ("guard", [ Alcotest.test_case "every engine" `Quick test_shared_guard ]);
       ( "auto",
         [
           Alcotest.test_case "routing" `Quick test_auto_routing;

@@ -11,7 +11,7 @@ module Shot_engine = Qdt.Shot_engine
 module Sv = Qdt_arraysim.Statevector
 
 let get name =
-  match Registry.find name with
+  match Registry.find_session name with
   | Some m -> m
   | None -> Alcotest.failf "backend %s not registered" name
 
@@ -355,14 +355,13 @@ let test_typed_declines () =
      operation it does support to reach the dynamic-circuit guard. *)
   let probes =
     [
-      ("mps", fun (module B : Backend.BACKEND) -> Result.map ignore (B.sample ~seed:0 ~shots:10 c));
-      ("tensor-network", fun (module B : Backend.BACKEND) -> Result.map ignore (B.expectation_z ~seed:0 c 0));
+      ("mps", Qdt.Job.Sample { seed = 0; shots = 10 });
+      ("tensor-network", Qdt.Job.Expectation_z { seed = 0; qubit = 0 });
     ]
   in
   List.iter
     (fun (name, probe) ->
-      let (module B : Backend.BACKEND) = get name in
-      match probe (module B : Backend.BACKEND) with
+      match Result.map ignore (Backend.run_once (get name) c probe) with
       | Ok () -> Alcotest.failf "%s must decline dynamic circuits" name
       | Error e ->
           Alcotest.(check string) "error names backend" name e.Backend.backend;

@@ -593,18 +593,25 @@ let test_exporters_every_backend =
   isolated @@ fun () ->
   let bell = Generators.bell in
   List.iter
-    (fun (module B : Qdt.Backend.BACKEND) ->
+    (fun ((module S : Qdt.Backend.SESSION) as engine) ->
       Trace.configure ();
       Trace.set_enabled true;
       (* Exercise whatever Bell operations the backend offers (e.g. the
          tensor-network backend computes quantities but cannot sample). *)
       let ran = ref 0 in
-      (match B.sample ~shots:20 bell with Ok _ -> incr ran | Error _ -> ());
-      (match B.simulate bell with Ok _ -> incr ran | Error _ -> ());
-      (match B.expectation_z bell 0 with Ok _ -> incr ran | Error _ -> ());
-      if !ran = 0 then Alcotest.failf "backend %s ran no Bell operation" B.name;
+      List.iter
+        (fun job ->
+          match Qdt.Backend.run_once engine bell job with
+          | Ok _ -> incr ran
+          | Error _ -> ())
+        [
+          Qdt.Job.Sample { seed = 0; shots = 20 };
+          Qdt.Job.Full_state;
+          Qdt.Job.Expectation_z { seed = 0; qubit = 0 };
+        ];
+      if !ran = 0 then Alcotest.failf "backend %s ran no Bell operation" S.name;
       Trace.set_enabled false;
-      if Trace.events () = [] then Alcotest.failf "backend %s recorded no spans" B.name;
+      if Trace.events () = [] then Alcotest.failf "backend %s recorded no spans" S.name;
       check_balanced (Trace.events ());
       let chrome = Filename.temp_file "qdt_trace" ".json" in
       let jsonl = Filename.temp_file "qdt_trace" ".jsonl" in
@@ -615,11 +622,11 @@ let test_exporters_every_backend =
         (fun () ->
           Trace.export_chrome chrome;
           Trace.export_jsonl jsonl;
-          validate_json ~what:(B.name ^ " chrome trace") (read_file chrome);
+          validate_json ~what:(S.name ^ " chrome trace") (read_file chrome);
           String.split_on_char '\n' (read_file jsonl)
           |> List.iter (fun line ->
                  if String.trim line <> "" then
-                   validate_json ~what:(B.name ^ " jsonl line") line));
+                   validate_json ~what:(S.name ^ " jsonl line") line));
       Trace.clear ())
     (Qdt.Registry.all ());
   (* the metrics JSON dump is valid too *)
@@ -690,10 +697,10 @@ let test_estimate_percentile_errors =
   Metrics.remove "test.pct.errors"
 
 (* ------------------------------------------------------------------ *)
-(* Prometheus exposition parser (Qdt_obs.Prom)                         *)
+(* Prometheus exposition parser (Qdt_prom.Prom)                        *)
 (* ------------------------------------------------------------------ *)
 
-module Prom = Qdt_obs.Prom
+module Prom = Qdt_prom.Prom
 
 let test_prom_roundtrip =
   isolated @@ fun () ->

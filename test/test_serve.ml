@@ -12,7 +12,7 @@ module Client = Qdt_serve.Client
 module Session_pool = Qdt_serve.Session_pool
 module Metrics = Qdt_obs.Metrics
 module Trace = Qdt_obs.Trace
-module Prom = Qdt_obs.Prom
+module Prom = Qdt_prom.Prom
 module Json = Qdt_obs.Json
 
 let ghz n = Qdt_serve.Loadgen.default_qasm n
@@ -128,6 +128,21 @@ let test_errors () =
     ok_or_fail "405" (Client.post c ~path:"/metrics" ~body:"")
   in
   Alcotest.(check int) "method mismatch" 405 status
+
+(* An amplitude index outside the circuit is the shared guard's typed
+   decline, not a payload: [ghz 5] has indices [0, 32). *)
+let test_out_of_range_amplitude () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  let status, body =
+    ok_or_fail "post"
+      (Client.post c ~path:"/v1/jobs"
+         ~body:(job_body ~qasm:(ghz 5) "{\"kind\": \"amplitude\", \"index\": 32}"))
+  in
+  Alcotest.(check int) "out-of-range amplitude" 422 status;
+  Alcotest.(check (option string)) "typed" (Some "backend_error")
+    (Option.bind (Json.member "error" (parse_ok ~what:"error" body))
+       (member_string "type"))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane                                                     *)
@@ -457,6 +472,8 @@ let () =
           Alcotest.test_case "job + warm session" `Quick
             test_job_and_warm_session;
           Alcotest.test_case "typed errors" `Quick test_errors;
+          Alcotest.test_case "out-of-range amplitude" `Quick
+            test_out_of_range_amplitude;
           Alcotest.test_case "batch JSONL" `Quick test_batch;
           Alcotest.test_case "session close" `Quick test_session_close_endpoint;
         ] );

@@ -14,11 +14,6 @@ let get_session name =
   | Some m -> m
   | None -> Alcotest.failf "session engine %s not registered" name
 
-let get_backend name =
-  match Registry.find name with
-  | Some m -> m
-  | None -> Alcotest.failf "backend %s not registered" name
-
 let ok name = function
   | Ok (payload, stats) -> (payload, stats)
   | Error e -> Alcotest.failf "%s: %s" name (Backend.error_to_string e)
@@ -94,7 +89,6 @@ let counts_of name = function
 
 let test_arrays_buffer_reuse () =
   let (module S : Backend.SESSION) = get_session "arrays" in
-  let (module B : Backend.BACKEND) = get_backend "arrays" in
   let a = Generators.qft 6 and b = Generators.w_state 6 in
   let s = S.create () in
   (* Prime the session buffer with a different state, then check the
@@ -104,38 +98,38 @@ let test_arrays_buffer_reuse () =
   let seeded = Circuit.(empty 3 ~clbits:1 |> h 0 |> measure ~qubit:0 ~clbit:0 |> cx 0 1 |> cx 1 2) in
   let warm_counts, _ = ok "warm sample" (S.submit s seeded (Job.Sample { seed = 11; shots = 64 })) in
   S.close s;
-  let cold = match B.simulate b with Ok (v, _) -> v | Error _ -> assert false in
+  let cold, _ = ok "cold w(6)" (Backend.run_once (module S) b Job.Full_state) in
+  let cold = state_of "cold" cold in
   Alcotest.(check bool) "warm state = cold state (1e-12)" true
     (Vec.approx_equal ~eps:1e-12 (state_of "warm" warm) cold);
-  let cold_counts =
-    match B.sample ~seed:11 ~shots:64 seeded with Ok (v, _) -> v | Error _ -> assert false
+  let cold_counts, _ =
+    ok "cold sample" (Backend.run_once (module S) seeded (Job.Sample { seed = 11; shots = 64 }))
   in
+  let cold_counts = counts_of "cold sample" cold_counts in
   Alcotest.(check bool) "warm seeded counts = cold counts" true
     (counts_of "warm sample" warm_counts = cold_counts)
 
 let test_stabilizer_tableau_reuse () =
   let (module S : Backend.SESSION) = get_session "stabilizer" in
-  let (module B : Backend.BACKEND) = get_backend "stabilizer" in
   let c1 = Generators.random_clifford ~seed:5 ~gates:60 5 in
   let c2 = Generators.random_clifford ~seed:6 ~gates:60 5 in
   let s = S.create () in
   let _ = ok "prime" (S.submit s c1 (Job.Sample { seed = 1; shots = 32 })) in
   let warm, _ = ok "warm" (S.submit s c2 (Job.Sample { seed = 2; shots = 32 })) in
   S.close s;
-  let cold =
-    match B.sample ~seed:2 ~shots:32 c2 with Ok (v, _) -> v | Error _ -> assert false
-  in
+  let cold, _ = ok "cold" (Backend.run_once (module S) c2 (Job.Sample { seed = 2; shots = 32 })) in
+  let cold = counts_of "cold" cold in
   Alcotest.(check bool) "warm tableau counts = cold counts" true
     (counts_of "warm" warm = cold)
 
 let test_dd_warm_matches_cold () =
   let (module S : Backend.SESSION) = get_session "decision-diagrams" in
-  let (module B : Backend.BACKEND) = get_backend "decision-diagrams" in
   let s = S.create () in
   let _ = ok "prime" (S.submit s t_heavy Job.Full_state) in
   let warm, _ = ok "warm" (S.submit s t_heavy Job.Full_state) in
   S.close s;
-  let cold = match B.simulate t_heavy with Ok (v, _) -> v | Error _ -> assert false in
+  let cold, _ = ok "cold" (Backend.run_once (module S) t_heavy Job.Full_state) in
+  let cold = state_of "cold" cold in
   Alcotest.(check bool) "warm DD state = cold state (1e-12)" true
     (Vec.approx_equal ~eps:1e-12 (state_of "warm" warm) cold)
 
@@ -176,14 +170,14 @@ let test_auto_session_routes () =
   Alcotest.(check bool) "choice logged" true (st1.Backend.note <> None)
 
 (* ------------------------------------------------------------------ *)
-(* One-shot shims ride the session layer                               *)
+(* One-shot runs ride the session layer                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_one_shot_shim_is_cold () =
   (* Two one-shot calls are two sessions: the second must not warm-start. *)
-  let (module B : Backend.BACKEND) = get_backend "decision-diagrams" in
-  let d1 = match B.simulate t_heavy with Ok (_, s) -> dd_of "1" s | Error _ -> assert false in
-  let d2 = match B.simulate t_heavy with Ok (_, s) -> dd_of "2" s | Error _ -> assert false in
+  let dd = get_session "decision-diagrams" in
+  let d1 = dd_of "1" (snd (ok "1" (Backend.run_once dd t_heavy Job.Full_state))) in
+  let d2 = dd_of "2" (snd (ok "2" (Backend.run_once dd t_heavy Job.Full_state))) in
   Alcotest.(check (float 1e-12)) "identical cold unique-hit rates"
     d1.Backend.unique_hit_rate d2.Backend.unique_hit_rate;
   Alcotest.(check (float 1e-12)) "identical cold compute-hit rates"
