@@ -46,6 +46,12 @@ let metric key json = json_metrics := (key, json) :: !json_metrics
 let metric_int key v = metric key (string_of_int v)
 let metric_float key v = metric key (Printf.sprintf "%.6g" v)
 
+(* [counted name] — the registry counter [name] now (0 when absent). *)
+let counted name =
+  match List.assoc_opt name (Qdt.Obs.Metrics.snapshot ()) with
+  | Some (Qdt.Obs.Metrics.Counter_v n) -> n
+  | _ -> 0
+
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -802,13 +808,11 @@ let e16_run ~gc_threshold c =
   let st = Qdt.Dd.Sim.make mgr (Circuit.num_qubits c) in
   let rng = Random.State.make [| 0 |] in
   let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-  let (), measure =
-    Qdt.Backend.timed (fun () ->
-        List.iter
-          (fun instr -> Qdt.Dd.Sim.apply_instruction st instr ~rng ~clbits)
-          (Circuit.instructions c))
-  in
-  let wall = measure.Qdt.Backend.wall_s in
+  let t0 = Qdt.Obs.Clock.now_ns () in
+  List.iter
+    (fun instr -> Qdt.Dd.Sim.apply_instruction st instr ~rng ~clbits)
+    (Circuit.instructions c);
+  let wall = Qdt.Obs.Clock.ns_to_s (Qdt.Obs.Clock.elapsed_ns t0) in
   let stats = Qdt.Dd.Pkg.cache_stats mgr in
   let rate h l = if l = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int l in
   ( wall,
@@ -924,11 +928,6 @@ let e17 ~smoke () =
      probe a lookup increment plus (on hit) a hit increment. *)
   Qdt.Obs.Metrics.reset ();
   run_once ();
-  let counted name =
-    match List.assoc_opt name (Qdt.Obs.Metrics.flatten (Qdt.Obs.Metrics.snapshot ())) with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
   let instr_sites = counted "dd.gates" + counted "dd.measurements" in
   let ops_per_run =
     (3 * instr_sites) + counted "dd.cache.lookups" + counted "dd.cache.hits"
@@ -1399,13 +1398,6 @@ let e21 ~smoke () =
      counters are the e17-audited plain ones). *)
   Qdt.Obs.Metrics.reset ();
   run_once ();
-  let counted name =
-    match
-      List.assoc_opt name (Qdt.Obs.Metrics.flatten (Qdt.Obs.Metrics.snapshot ()))
-    with
-    | Some v -> int_of_float v
-    | None -> 0
-  in
   (* One watermark observe per DD garbage collection, plus one for the
      backend adapter's per-run peak observation (counted even though this
      harness drives Sim directly — the bound stays conservative). *)
@@ -1584,8 +1576,10 @@ let e22 ~smoke () =
     last := submit_ok s
   done;
   S.close s;
-  let dd_of st =
-    match st.Qdt.Backend.dd with Some d -> d | None -> failwith "dd stats missing"
+  let dd_of (st : Qdt.Backend.stats) key =
+    match List.assoc_opt ("dd." ^ key) st.Qdt.Backend.values with
+    | Some v -> v
+    | None -> failwith "dd stats missing"
   in
   let d1 = dd_of first and dn = dd_of !last in
   let speedup = t_cold /. t_warm in
@@ -1595,26 +1589,26 @@ let e22 ~smoke () =
   Printf.printf "  cold sessions (fresh engine per job)  %9.2f ms\n" (t_cold /. 1e6);
   Printf.printf "  warm session  (one engine, %2d jobs)   %9.2f ms\n" jobs (t_warm /. 1e6);
   Printf.printf "  speedup: %.2fx\n\n" speedup;
-  Printf.printf "  job 1  compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %d\n"
-    (100.0 *. d1.Qdt.Backend.compute_hit_rate)
-    (100.0 *. d1.Qdt.Backend.unique_hit_rate)
-    d1.Qdt.Backend.gc_runs;
-  Printf.printf "  job %-2d compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %d\n" jobs
-    (100.0 *. dn.Qdt.Backend.compute_hit_rate)
-    (100.0 *. dn.Qdt.Backend.unique_hit_rate)
-    dn.Qdt.Backend.gc_runs;
+  Printf.printf "  job 1  compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %.0f\n"
+    (100.0 *. d1 "compute_hit_rate")
+    (100.0 *. d1 "unique_hit_rate")
+    (d1 "gc_runs");
+  Printf.printf "  job %-2d compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %.0f\n" jobs
+    (100.0 *. dn "compute_hit_rate")
+    (100.0 *. dn "unique_hit_rate")
+    (dn "gc_runs");
   metric_int "qubits" n;
   metric_int "gates" gates;
   metric_int "jobs_per_batch" jobs;
   metric_float "cold_batch_ms" (t_cold /. 1e6);
   metric_float "warm_batch_ms" (t_warm /. 1e6);
   metric_float "warm_speedup" speedup;
-  metric_float "job1_compute_hit_rate" d1.Qdt.Backend.compute_hit_rate;
-  metric_float "jobN_compute_hit_rate" dn.Qdt.Backend.compute_hit_rate;
-  metric_float "job1_unique_hit_rate" d1.Qdt.Backend.unique_hit_rate;
-  metric_float "jobN_unique_hit_rate" dn.Qdt.Backend.unique_hit_rate;
-  metric_int "job1_gc_runs" d1.Qdt.Backend.gc_runs;
-  metric_int "jobN_gc_runs" dn.Qdt.Backend.gc_runs;
+  metric_float "job1_compute_hit_rate" (d1 "compute_hit_rate");
+  metric_float "jobN_compute_hit_rate" (dn "compute_hit_rate");
+  metric_float "job1_unique_hit_rate" (d1 "unique_hit_rate");
+  metric_float "jobN_unique_hit_rate" (dn "unique_hit_rate");
+  metric_int "job1_gc_runs" (int_of_float (d1 "gc_runs"));
+  metric_int "jobN_gc_runs" (int_of_float (dn "gc_runs"));
   if t_warm >= t_cold then begin
     Printf.eprintf
       "E22 FAILED: warm session batch (%.2f ms) is not faster than cold (%.2f ms)\n"

@@ -15,42 +15,11 @@ type capabilities = {
   dynamic : bool;
 }
 
-type dd_stats = {
-  peak_nodes : int;
-  final_nodes : int;
-  unique_table_size : int;
-  cnum_table_size : int;
-  unique_hit_rate : float;
-  compute_hit_rate : float;
-  (* Memory-management telemetry (PR 2): collections run, unique-table
-     entries reclaimed, and the peak unique-table population (live + dead
-     between collections) — the bounded-memory signal. *)
-  gc_runs : int;
-  nodes_collected : int;
-  peak_live_nodes : int;
-  compute_cache_fill : float;  (* occupied fraction across bounded caches *)
-}
-
-type mps_stats = { max_bond_dim : int; truncation_error : float }
-
-(* OCaml-heap telemetry captured around each run (Gc.quick_stat deltas),
-   so memory claims are measured rather than inferred from data-structure
-   byte counts. *)
-type heap_stats = {
-  minor_words : float;
-  major_words : float;
-  top_heap_words : int;
-}
-
 type stats = {
   backend : string;
   wall_s : float;
-  dd : dd_stats option;
-  mps : mps_stats option;
-  tableau_bytes : int option;
-  heap : heap_stats option;
-  metrics : (string * float) list;
   note : string option;
+  values : (string * float) list;
 }
 
 type error = { backend : string; operation : string; reason : string }
@@ -82,29 +51,6 @@ let unsupported ~backend ~operation reason =
 let error_to_string e =
   Printf.sprintf "backend %s does not support %s: %s" e.backend e.operation e.reason
 
-(* Everything [timed] observed about one run: wall clock (via the shared
-   monotonic clock), heap activity, and — when metrics are enabled — the
-   change in every registered instrument over the run. *)
-type measure = {
-  wall_s : float;
-  heap : heap_stats;
-  metrics : (string * float) list;
-}
-
-let base_stats ?note name (m : measure) =
-  {
-    backend = name;
-    wall_s = m.wall_s;
-    dd = None;
-    mps = None;
-    tableau_bytes = None;
-    heap = Some m.heap;
-    metrics = m.metrics;
-    note;
-  }
-
-let w_heap = Qdt_obs.Watermark.watermark "heap.peak_heap_words"
-
 (* Session labels for the per-session dimension on [qdt.backend.runs].
    Labels must stay low-cardinality (the metrics registry hard-caps series
    per base name), so only the first [max_labeled_sessions] sessions of a
@@ -118,114 +64,62 @@ let fresh_session_label () =
   let k = 1 + Atomic.fetch_and_add session_seq 1 in
   if k <= max_labeled_sessions then Printf.sprintf "s%d" k else "overflow"
 
-(* Every adapter's span is "<backend>.<operation>" — reuse it as the label
-   pair of a run counter, so runs per backend and operation are queryable
-   dimensions.  The label set is closed (5 backends × 4 operations, plus a
-   bounded session dimension), well under the registry's cardinality cap;
-   registration happens once per distinct label set thanks to the
-   registry's get-or-create semantics. *)
-let run_counter ?session span =
-  let session_label =
-    match session with None -> [] | Some s -> [ ("session", s) ]
+(* Every adapter names its runs "<prefix>.<operation>" and counts them
+   on [qdt.backend.runs] with the same two names as labels.  The label
+   set is closed (5 prefixes × 4 operations, plus the bounded session
+   dimension), well under the registry's cardinality cap.  Heap and
+   registry deltas are deliberately not taken here: both are
+   process-wide, so under several worker domains they would count other
+   jobs' work; run-scoped deltas live in [Qdt_obs.Report]. *)
+let timed ~name ~prefix ?session job f =
+  let operation = operation_name (operation_of_job job) in
+  if Qdt_obs.Metrics.enabled () then
+    Qdt_obs.Metrics.incr
+      (Qdt_obs.Metrics.counter_with
+         ~labels:
+           (("backend", prefix) :: ("operation", operation)
+           :: (match session with None -> [] | Some s -> [ ("session", s) ]))
+         "qdt.backend.runs");
+  let result, elapsed =
+    Qdt_obs.Trace.with_span (prefix ^ "." ^ operation) (fun () ->
+        let t0 = Qdt_obs.Clock.now_ns () in
+        let result = f () in
+        (result, Qdt_obs.Clock.elapsed_ns t0))
   in
-  match String.index_opt span '.' with
-  | Some i ->
-      let backend = String.sub span 0 i
-      and operation = String.sub span (i + 1) (String.length span - i - 1) in
-      Qdt_obs.Metrics.counter_with
-        ~labels:([ ("backend", backend); ("operation", operation) ] @ session_label)
-        "qdt.backend.runs"
-  | None ->
-      Qdt_obs.Metrics.counter_with
-        ~labels:(("span", span) :: session_label)
-        "qdt.backend.runs"
-
-let timed ?span ?session f =
-  let run () =
-    let g0 = Gc.quick_stat () in
-    let t0 = Qdt_obs.Clock.now_ns () in
-    let result = f () in
-    let elapsed = Qdt_obs.Clock.elapsed_ns t0 in
-    let g1 = Gc.quick_stat () in
-    (result, elapsed, g0, g1)
-  in
-  let before =
-    if Qdt_obs.Metrics.enabled () then Some (Qdt_obs.Metrics.snapshot ()) else None
-  in
-  (match span with
-  | Some name when Qdt_obs.Metrics.enabled () ->
-      Qdt_obs.Metrics.incr (run_counter ?session name)
-  | _ -> ());
-  let result, elapsed, g0, g1 =
-    match span with
-    | Some name -> Qdt_obs.Trace.with_span name run
-    | None -> run ()
-  in
-  Qdt_obs.Watermark.observe_int w_heap g1.Gc.heap_words;
-  let metrics =
-    match before with
-    | None -> []
-    | Some before ->
-        Qdt_obs.Metrics.flatten
-          (Qdt_obs.Metrics.diff ~before ~after:(Qdt_obs.Metrics.snapshot ()))
-  in
-  ( result,
-    {
-      wall_s = Qdt_obs.Clock.ns_to_s elapsed;
-      heap =
-        {
-          minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-          major_words = g1.Gc.major_words -. g0.Gc.major_words;
-          top_heap_words = g1.Gc.top_heap_words;
-        };
-      metrics;
-    } )
+  (result, { backend = name; wall_s = Qdt_obs.Clock.ns_to_s elapsed; note = None; values = [] })
 
 let stats_to_string (s : stats) =
   let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "backend=%s wall=%.6fs" s.backend s.wall_s);
-  (match s.dd with
-  | Some d ->
-      Buffer.add_string b
-        (Printf.sprintf
-           " dd{peak-nodes=%d final-nodes=%d unique-table=%d cnum-table=%d \
-            unique-hit=%.1f%% cache-hit=%.1f%% cache-fill=%.1f%% gc-runs=%d \
-            collected=%d peak-live=%d}"
-           d.peak_nodes d.final_nodes d.unique_table_size d.cnum_table_size
-           (100.0 *. d.unique_hit_rate)
-           (100.0 *. d.compute_hit_rate)
-           (100.0 *. d.compute_cache_fill)
-           d.gc_runs d.nodes_collected d.peak_live_nodes)
-  | None -> ());
-  (match s.mps with
-  | Some m ->
-      Buffer.add_string b
-        (Printf.sprintf " mps{max-bond=%d trunc-err=%.3e}" m.max_bond_dim
-           m.truncation_error)
-  | None -> ());
-  (match s.tableau_bytes with
-  | Some bytes -> Buffer.add_string b (Printf.sprintf " tableau{bytes=%d}" bytes)
-  | None -> ());
-  (match s.heap with
-  | Some h ->
-      Buffer.add_string b
-        (Printf.sprintf " heap{minor-mw=%.3f major-mw=%.3f top-heap-mw=%.3f}"
-           (h.minor_words /. 1e6) (h.major_words /. 1e6)
-           (float_of_int h.top_heap_words /. 1e6))
-  | None -> ());
-  (match s.metrics with
-  | [] -> ()
-  | metrics ->
-      Buffer.add_string b "\nmetrics:";
-      List.iter
-        (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%g" k v))
-        metrics);
-  (match s.note with
-  | Some note -> Buffer.add_string b (Printf.sprintf "\nchoice: %s" note)
-  | None -> ());
+  Printf.bprintf b "backend=%s wall=%.6fs" s.backend s.wall_s;
+  List.iter (fun (k, v) -> Printf.bprintf b " %s=%s" k (Qdt_obs.Json.number v)) s.values;
+  Option.iter (Printf.bprintf b "\nchoice: %s") s.note;
   Buffer.contents b
 
-let pp_stats ppf s = Format.pp_print_string ppf (stats_to_string s)
+(* A value named "a.b" nests as {"a": {"b": v}}, grouping every value
+   that shares the prefix, so the DD values render as the "dd" object
+   clients read "stats.dd.unique_hit_rate" from. *)
+let stats_to_json (s : stats) =
+  let module Json = Qdt_obs.Json in
+  let rec nest = function
+    | [] -> []
+    | (name, v) :: rest -> (
+        match String.index_opt name '.' with
+        | None -> (name, Json.number v) :: nest rest
+        | Some i ->
+            let group = String.sub name 0 (i + 1) in
+            let inner, rest =
+              List.partition (fun (k, _) -> String.starts_with ~prefix:group k) rest
+            in
+            let field (k, v) =
+              (String.sub k (i + 1) (String.length k - i - 1), Json.number v)
+            in
+            (String.sub name 0 i, Json.obj (List.map field ((name, v) :: inner)))
+            :: nest rest)
+  in
+  Json.obj
+    ([ ("backend", Json.string s.backend); ("wall_s", Json.float s.wall_s) ]
+    @ Option.to_list (Option.map (fun n -> ("note", Json.string n)) s.note)
+    @ nest s.values)
 
 (* The one dense-output cap every engine shares: a [Full_state] job
    materialises 2^n amplitudes of 16 bytes each, so 24 qubits is 256 MiB. *)

@@ -21,43 +21,19 @@ type capabilities = {
           classical control) via the per-shot loop of {!Shot_engine} *)
 }
 
-(** Decision-diagram telemetry ({!Qdt_dd.Pkg}). *)
-type dd_stats = {
-  peak_nodes : int;  (** largest state DD during the run *)
-  final_nodes : int;
-  unique_table_size : int;
-  cnum_table_size : int;
-  unique_hit_rate : float;  (** share of node constructions answered by hash-consing *)
-  compute_hit_rate : float;  (** share of operation-cache lookups that hit *)
-  gc_runs : int;  (** mark-and-sweep collections during the run *)
-  nodes_collected : int;  (** unique-table entries reclaimed by GC *)
-  peak_live_nodes : int;  (** peak unique-table population (the bounded-memory signal) *)
-  compute_cache_fill : float;  (** occupied fraction across the bounded compute caches *)
-}
-
-(** Matrix-product-state telemetry ({!Qdt_tensornet.Mps}). *)
-type mps_stats = { max_bond_dim : int; truncation_error : float }
-
-(** OCaml-heap telemetry: [Gc.quick_stat] deltas captured around the run
-    by {!timed}, so memory claims are measured rather than inferred. *)
-type heap_stats = {
-  minor_words : float;  (** words allocated in the minor heap during the run *)
-  major_words : float;  (** words allocated in the major heap during the run *)
-  top_heap_words : int;  (** process-lifetime peak major-heap size *)
-}
-
-(** The unified run record: every job returns one. *)
+(** The unified run record: every job returns one.  [values] are the
+    engine's own cost axes, each named by the engine that measures it —
+    [dd.peak_nodes], [dd.final_nodes], [dd.unique_table_size],
+    [dd.cnum_table_size], [dd.unique_hit_rate], [dd.compute_hit_rate],
+    [dd.gc_runs], [dd.nodes_collected], [dd.peak_live_nodes],
+    [dd.compute_cache_fill]; [mps.max_bond_dim], [mps.truncation_error];
+    [tableau_bytes] — and count this job's work only, whatever else the
+    process runs at the same time. *)
 type stats = {
   backend : string;  (** backend that actually ran (Auto reports its pick) *)
   wall_s : float;  (** wall-clock seconds (shared clock: {!Qdt_obs.Clock}) *)
-  dd : dd_stats option;
-  mps : mps_stats option;
-  tableau_bytes : int option;  (** stabilizer tableau footprint *)
-  heap : heap_stats option;
-  metrics : (string * float) list;
-      (** change in every {!Qdt_obs.Metrics} instrument over the run;
-          empty unless metrics were enabled *)
   note : string option;  (** Auto: why this backend was chosen *)
+  values : (string * float) list;
 }
 
 (** Typed unsupported-operation report (replaces the seed's
@@ -76,15 +52,6 @@ val supports : capabilities -> operation -> bool
 val unsupported : backend:string -> operation:operation -> string -> ('a, error) result
 val error_to_string : error -> string
 
-(** Everything {!timed} observed about one run. *)
-type measure = {
-  wall_s : float;
-  heap : heap_stats;
-  metrics : (string * float) list;
-}
-
-val base_stats : ?note:string -> string -> measure -> stats
-
 (** [operation_of_job job] — the capability bucket a job falls in. *)
 val operation_of_job : Job.t -> operation
 
@@ -94,16 +61,24 @@ val operation_of_job : Job.t -> operation
     cardinality stays bounded. *)
 val fresh_session_label : unit -> string
 
-(** [timed ?span ?session f] — run [f] and return its result with the
-    run's measure: wall time on the shared monotonic clock, heap
-    activity, and (when metrics are enabled) the per-instrument change.
-    With [?span] the run is additionally bracketed in a
-    {!Qdt_obs.Trace} span and counted on [qdt.backend.runs];
-    [?session] adds a [session] label to that counter. *)
-val timed : ?span:string -> ?session:string -> (unit -> 'a) -> 'a * measure
+(** [timed ~name ~prefix ?session job f] — run [f], the body of [job]
+    on backend [name], and return its result with a stats record holding
+    the wall time on the shared monotonic clock and no values.  The run
+    is bracketed in a {!Qdt_obs.Trace} span [<prefix>.<operation>] and,
+    while metrics are enabled, counted on
+    [qdt.backend.runs{backend=<prefix>,operation[,session]}]. *)
+val timed :
+  name:string -> prefix:string -> ?session:string -> Job.t -> (unit -> 'a) -> 'a * stats
 
+(** [backend=… wall=…s] and one [name=value] per value on one line; the
+    note, when present, follows on a second line as [choice: …].
+    Integral values print exactly. *)
 val stats_to_string : stats -> string
-val pp_stats : Format.formatter -> stats -> unit
+
+(** The record as a JSON object: [backend], [wall_s], [note] when
+    present, and every value, where a value named [a.b] nests as
+    [{"a": {"b": …}}].  Integral values print exactly. *)
+val stats_to_json : stats -> string
 
 (** The dense-output cap every engine shares: a [Full_state] job on more
     qubits is declined by {!admit}.  Arrays and tensor networks cap the

@@ -74,47 +74,29 @@ module Session = struct
       !key
     end
 
-  let stats m = Backend.base_stats name m
-
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
       let* () = Backend.admit ~name ~caps:capabilities c job in
-      let session = t.label in
-      match job with
-      | Job.Full_state ->
-          let (state, _clbits), m =
-            Backend.timed ~span:"arrays.simulate" ?session (fun () -> run_in t ~seed:0 c)
-          in
-          Ok (Job.State (Sv.to_vec state), stats m)
-      | Job.Amplitude k ->
-          let amp, m =
-            Backend.timed ~span:"arrays.amplitude" ?session (fun () ->
-                Sv.amplitude (fst (run_in t ~seed:0 c)) k)
-          in
-          Ok (Job.Amplitude_of amp, stats m)
-      | Job.Sample { seed; shots } ->
-          let counts, m =
-            Backend.timed ~span:"arrays.sample" ?session (fun () ->
-                match Shot_engine.plan c with
-                | Shot_engine.Static_unitary ->
-                    let state, _clbits = run_in t ~seed c in
-                    Sv.sample ~seed:(seed + 1) state ~shots
-                | Shot_engine.Static_final { unitary; map } ->
-                    let state, _clbits = run_in t ~seed unitary in
-                    Shot_engine.remap_counts ~map (Sv.sample ~seed:(seed + 1) state ~shots)
-                | Shot_engine.Dynamic ->
-                    (* [run_shot] builds a fresh statevector per shot, so it
-                       is reentrant and the shots parallelise across domains. *)
-                    Shot_engine.sample_per_shot_parallel ~seed ~shots
-                      ~run_shot:(run_shot c))
-          in
-          Ok (Job.Counts counts, stats m)
-      | Job.Expectation_z { seed; qubit } ->
-          let v, m =
-            Backend.timed ~span:"arrays.expectation-z" ?session (fun () ->
-                let state, _clbits = run_in t ~seed c in
-                Sv.expectation_z state qubit)
-          in
-          Ok (Job.Expectation v, stats m)
+      Ok
+        (Backend.timed ~name ~prefix:"arrays" ?session:t.label job (fun () ->
+             match job with
+             | Job.Full_state -> Job.State (Sv.to_vec (fst (run_in t ~seed:0 c)))
+             | Job.Amplitude k -> Job.Amplitude_of (Sv.amplitude (fst (run_in t ~seed:0 c)) k)
+             | Job.Sample { seed; shots } ->
+                 Job.Counts
+                   (match Shot_engine.plan c with
+                   | Shot_engine.Static_unitary ->
+                       let state, _clbits = run_in t ~seed c in
+                       Sv.sample ~seed:(seed + 1) state ~shots
+                   | Shot_engine.Static_final { unitary; map } ->
+                       let state, _clbits = run_in t ~seed unitary in
+                       Shot_engine.remap_counts ~map (Sv.sample ~seed:(seed + 1) state ~shots)
+                   | Shot_engine.Dynamic ->
+                       (* [run_shot] builds a fresh statevector per shot, so it
+                          is reentrant and the shots parallelise across domains. *)
+                       Shot_engine.sample_per_shot_parallel ~seed ~shots
+                         ~run_shot:(run_shot c))
+             | Job.Expectation_z { seed; qubit } ->
+                 Job.Expectation (Sv.expectation_z (fst (run_in t ~seed c)) qubit)))
 end

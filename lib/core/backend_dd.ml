@@ -90,42 +90,32 @@ module Session = struct
     let st = match !last with Some st -> st | None -> Sim.make mgr n in
     (st, !peak, counts)
 
-  let stats_of ~m ~peak ~cs st =
+  (* The job's values, from cache-counter deltas [cs] against the last
+     job boundary. *)
+  let values ~peak ~cs st =
     let mgr = Sim.manager st in
     let slots = List.fold_left (fun acc t -> acc + t.Pkg.slots) 0 cs.Pkg.caches in
     let fill = List.fold_left (fun acc t -> acc + t.Pkg.fill) 0 cs.Pkg.caches in
-    {
-      (Backend.base_stats name m) with
-      Backend.dd =
-        Some
-          {
-            Backend.peak_nodes = peak;
-            final_nodes = Sim.node_count st;
-            unique_table_size = Pkg.unique_table_size mgr;
-            cnum_table_size = Pkg.cnum_live_entries mgr;
-            unique_hit_rate = rate cs.Pkg.unique_hits cs.Pkg.unique_lookups;
-            compute_hit_rate = rate cs.Pkg.compute_hits cs.Pkg.compute_lookups;
-            gc_runs = cs.Pkg.gc_runs;
-            nodes_collected = cs.Pkg.nodes_collected;
-            peak_live_nodes = cs.Pkg.peak_nodes;
-            compute_cache_fill = rate fill slots;
-          };
-    }
-
-  (* The spans match the pre-session adapter exactly, so the derived
-     qdt.backend.runs{backend,operation} series are unchanged. *)
-  let span_of_job = function
-    | Job.Full_state -> "dd.simulate"
-    | Job.Amplitude _ -> "dd.amplitude"
-    | Job.Sample _ -> "dd.sample"
-    | Job.Expectation_z _ -> "dd.expectation-z"
+    let int name v = (name, float_of_int v) in
+    [
+      int "dd.peak_nodes" peak;
+      int "dd.final_nodes" (Sim.node_count st);
+      int "dd.unique_table_size" (Pkg.unique_table_size mgr);
+      int "dd.cnum_table_size" (Pkg.cnum_live_entries mgr);
+      ("dd.unique_hit_rate", rate cs.Pkg.unique_hits cs.Pkg.unique_lookups);
+      ("dd.compute_hit_rate", rate cs.Pkg.compute_hits cs.Pkg.compute_lookups);
+      int "dd.gc_runs" cs.Pkg.gc_runs;
+      int "dd.nodes_collected" cs.Pkg.nodes_collected;
+      int "dd.peak_live_nodes" cs.Pkg.peak_nodes;
+      ("dd.compute_cache_fill", rate fill slots);
+    ]
 
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
       let* () = Backend.admit ~name ~caps:capabilities c job in
-      let (st, peak, payload), m =
-        Backend.timed ~span:(span_of_job job) ?session:t.label (fun () ->
+      let (st, peak, payload), stats =
+        Backend.timed ~name ~prefix:"dd" ?session:t.label job (fun () ->
             match job with
             | Job.Full_state | Job.Amplitude _ ->
                 let st, peak = run_tracked t.mgr ~seed:0 c in
@@ -153,8 +143,8 @@ module Session = struct
       (* Per-job deltas against the last job boundary; stats are read
          before the dense payload, matching the pre-session evaluation
          order exactly. *)
-      let stats =
-        stats_of ~m ~peak
+      let values =
+        values ~peak
           ~cs:(Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr))
           st
       in
@@ -170,5 +160,5 @@ module Session = struct
          permanently inflated by finished jobs. *)
       Sim.release st;
       t.mark <- Pkg.cache_stats t.mgr;
-      Ok (payload, stats)
+      Ok (payload, { stats with Backend.values })
 end

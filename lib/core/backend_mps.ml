@@ -31,49 +31,26 @@ module Session = struct
   let close t = t.closed <- true
   let run c = Mps.run (Decompose.lower ~basis:Decompose.Two_qubit c)
 
-  let stats_of m mps =
-    {
-      (Backend.base_stats name m) with
-      Backend.mps =
-        Some
-          {
-            Backend.max_bond_dim = Mps.max_bond_dim mps;
-            truncation_error = Mps.truncation_error mps;
-          };
-    }
-
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
       let* () = Backend.admit ~name ~caps:capabilities c job in
-      let session = t.label in
-      match job with
-      | Job.Full_state ->
-          let (mps, state), m =
-            Backend.timed ~span:"mps.simulate" ?session (fun () ->
-                let mps = run c in
-                (mps, Mps.to_vec mps))
-          in
-          Ok (Job.State state, stats_of m mps)
-      | Job.Amplitude k ->
-          let (mps, amp), m =
-            Backend.timed ~span:"mps.amplitude" ?session (fun () ->
-                let mps = run c in
-                (mps, Mps.amplitude mps k))
-          in
-          Ok (Job.Amplitude_of amp, stats_of m mps)
-      | Job.Sample { seed; shots } ->
-          let (mps, counts), m =
-            Backend.timed ~span:"mps.sample" ?session (fun () ->
-                let mps = run c in
-                (mps, Mps.sample ~seed:(seed + 1) mps ~shots))
-          in
-          Ok (Job.Counts counts, stats_of m mps)
-      | Job.Expectation_z { seed = _; qubit } ->
-          let (mps, v), m =
-            Backend.timed ~span:"mps.expectation-z" ?session (fun () ->
-                let mps = run c in
-                (mps, Mps.expectation_z mps qubit))
-          in
-          Ok (Job.Expectation v, stats_of m mps)
+      let (mps, payload), stats =
+        Backend.timed ~name ~prefix:"mps" ?session:t.label job (fun () ->
+            let mps = run c in
+            ( mps,
+              match job with
+              | Job.Full_state -> Job.State (Mps.to_vec mps)
+              | Job.Amplitude k -> Job.Amplitude_of (Mps.amplitude mps k)
+              | Job.Sample { seed; shots } -> Job.Counts (Mps.sample ~seed:(seed + 1) mps ~shots)
+              | Job.Expectation_z { seed = _; qubit } ->
+                  Job.Expectation (Mps.expectation_z mps qubit) ))
+      in
+      let values =
+        [
+          ("mps.max_bond_dim", float_of_int (Mps.max_bond_dim mps));
+          ("mps.truncation_error", Mps.truncation_error mps);
+        ]
+      in
+      Ok (payload, { stats with Backend.values })
 end

@@ -61,13 +61,6 @@ module Session = struct
       (Circuit.instructions c);
     (tab, clbits)
 
-  let stats_of m tab =
-    Qdt_obs.Watermark.observe_int w_tableau (Tableau.memory_bytes tab);
-    {
-      (Backend.base_stats name m) with
-      Backend.tableau_bytes = Some (Tableau.memory_bytes tab);
-    }
-
   (* One shot of a dynamic circuit on a fresh tableau. *)
   let run_shot c ~rng =
     let tab = Tableau.create (Circuit.num_qubits c) in
@@ -91,23 +84,23 @@ module Session = struct
     if t.closed then Backend.session_closed ~backend:name job
     else
       let* () = admit c job in
-      let session = t.label in
-      match job with
-      | Job.Full_state | Job.Amplitude _ ->
-          (* declined by [admit]: tableaus have no amplitude access *)
-          assert false
-      | Job.Sample { seed; shots } ->
-          let (tab, counts), m =
-            Backend.timed ~span:"stabilizer.sample" ?session (fun () ->
+      let (tab, payload), stats =
+        Backend.timed ~name ~prefix:"stabilizer" ?session:t.label job (fun () ->
+            match job with
+            | Job.Full_state | Job.Amplitude _ ->
+                (* declined by [admit]: tableaus have no amplitude access *)
+                assert false
+            | Job.Sample { seed; shots } -> (
                 match Shot_engine.plan c with
                 | Shot_engine.Static_unitary ->
                     let tab, _clbits = run_in t ~seed c in
-                    (tab, Tableau.sample ~seed:(seed + 1) tab ~shots)
+                    (tab, Job.Counts (Tableau.sample ~seed:(seed + 1) tab ~shots))
                 | Shot_engine.Static_final { unitary; map } ->
                     let tab, _clbits = run_in t ~seed unitary in
                     ( tab,
-                      Shot_engine.remap_counts ~map
-                        (Tableau.sample ~seed:(seed + 1) tab ~shots) )
+                      Job.Counts
+                        (Shot_engine.remap_counts ~map
+                           (Tableau.sample ~seed:(seed + 1) tab ~shots)) )
                 | Shot_engine.Dynamic ->
                     (* [run_shot] builds a fresh tableau per shot — reentrant,
                        so the shots parallelise across domains.  Stats only
@@ -119,14 +112,12 @@ module Session = struct
                       Shot_engine.sample_per_shot_parallel ~seed ~shots
                         ~run_shot:(fun ~rng -> snd (run_shot c ~rng))
                     in
-                    (acquire t (Circuit.num_qubits c), counts))
-          in
-          Ok (Job.Counts counts, stats_of m tab)
-      | Job.Expectation_z { seed; qubit } ->
-          let (tab, v), m =
-            Backend.timed ~span:"stabilizer.expectation-z" ?session (fun () ->
+                    (acquire t (Circuit.num_qubits c), Job.Counts counts))
+            | Job.Expectation_z { seed; qubit } ->
                 let tab, _clbits = run_in t ~seed c in
-                (tab, Float.of_int (Tableau.expectation_z tab qubit)))
-          in
-          Ok (Job.Expectation v, stats_of m tab)
+                (tab, Job.Expectation (Float.of_int (Tableau.expectation_z tab qubit))))
+      in
+      let bytes = Tableau.memory_bytes tab in
+      Qdt_obs.Watermark.observe_int w_tableau bytes;
+      Ok (payload, { stats with Backend.values = [ ("tableau_bytes", float_of_int bytes) ] })
 end

@@ -27,33 +27,19 @@ module Session = struct
 
   let create ?label () = { label; closed = false }
   let close t = t.closed <- true
-  let stats m = Backend.base_stats name m
 
   let submit t c job =
     if t.closed then Backend.session_closed ~backend:name job
     else
       let* () = Backend.admit ~name ~caps:capabilities c job in
-      let session = t.label in
-      match job with
-      | Job.Full_state ->
-          let (state, _contraction), m =
-            Backend.timed ~span:"tn.simulate" ?session (fun () ->
-                Tn.statevector (Tn.of_circuit c))
-          in
-          Ok (Job.State state, stats m)
-      | Job.Amplitude k ->
-          let (amp, _contraction), m =
-            Backend.timed ~span:"tn.amplitude" ?session (fun () ->
-                Tn.amplitude (Tn.of_circuit c) k)
-          in
-          Ok (Job.Amplitude_of amp, stats m)
-      | Job.Sample _ ->
-          (* declined by [admit]: contraction yields single quantities *)
-          assert false
-      | Job.Expectation_z { seed = _; qubit } ->
-          let (v, _contraction), m =
-            Backend.timed ~span:"tn.expectation-z" ?session (fun () ->
-                Tn.expectation_z c qubit)
-          in
-          Ok (Job.Expectation v, stats m)
+      Ok
+        (Backend.timed ~name ~prefix:"tn" ?session:t.label job (fun () ->
+             match job with
+             | Job.Full_state -> Job.State (fst (Tn.statevector (Tn.of_circuit c)))
+             | Job.Amplitude k -> Job.Amplitude_of (fst (Tn.amplitude (Tn.of_circuit c) k))
+             | Job.Sample _ ->
+                 (* declined by [admit]: contraction yields single quantities *)
+                 assert false
+             | Job.Expectation_z { seed = _; qubit } ->
+                 Job.Expectation (fst (Tn.expectation_z c qubit))))
 end

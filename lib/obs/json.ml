@@ -28,6 +28,15 @@ let float f =
 
 let int = string_of_int
 
+(* Integral values print exactly (a node count of 1234567 is not
+   1.23457e+06); everything else as [float]. *)
+let number f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f else float f
+
+(* [obj fields] — a JSON object of pre-rendered values, in field order. *)
+let obj fields =
+  "{" ^ String.concat ", " (List.map (fun (k, v) -> string k ^ ": " ^ v) fields) ^ "}"
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

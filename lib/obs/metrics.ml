@@ -38,7 +38,7 @@ let num_buckets = 48
 
 (* A labeled instrument is an ordinary instrument registered under a
    canonical encoded key [name{k="v",k2="v2"}] (labels sorted by key,
-   values escaped) — so snapshots, diffs, flatten and to_json treat the
+   values escaped) — so snapshots, diffs and to_json treat the
    whole series as one named cell and need no label awareness.  The
    [series_index] keeps the structured (base, labels) pair per encoded
    key for the Prometheus renderer.
@@ -336,46 +336,24 @@ let estimate_percentile v p =
       in
       find 0 0
 
-(* [snapshot] already sorts, but [flatten]/[to_json] also accept
-   hand-assembled or [diff]-produced lists — sort here too so every
-   rendering (BENCH_*.json, baselines) is deterministic by construction. *)
+(* [snapshot] already sorts, but the renderers also accept hand-assembled
+   or [diff]-produced lists — sort here too so every rendering
+   (BENCH_*.json, baselines) is deterministic by construction. *)
 let by_name s = List.sort (fun (a, _) (b, _) -> String.compare a b) s
 
-let flatten s =
-  let s = by_name s in
-  List.concat_map
-    (fun (name, v) ->
-      match v with
-      | Counter_v n -> [ (name, float_of_int n) ]
-      | Gauge_v g -> [ (name, g) ]
-      | Histogram_v h ->
-          [
-            (name ^ ".count", float_of_int h.count);
-            (name ^ ".sum", float_of_int h.sum);
-            (name ^ ".max", float_of_int h.max_value);
-          ])
-    s
-
 let to_json s =
-  let s = by_name s in
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Json.string name);
-      Buffer.add_string b ": ";
-      match v with
-      | Counter_v n -> Buffer.add_string b (Json.int n)
-      | Gauge_v g -> Buffer.add_string b (Json.float g)
-      | Histogram_v h ->
-          Buffer.add_string b
-            (Printf.sprintf "{\"count\": %d, \"sum\": %d, \"max\": %d, \"buckets\": [%s]}"
-               h.count h.sum h.max_value
-               (String.concat ", " (Array.to_list (Array.map string_of_int h.buckets)))))
-    s;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    (List.map
+       (fun (name, v) ->
+         ( name,
+           match v with
+           | Counter_v n -> Json.int n
+           | Gauge_v g -> Json.float g
+           | Histogram_v h ->
+               Printf.sprintf "{\"count\": %d, \"sum\": %d, \"max\": %d, \"buckets\": [%s]}"
+                 h.count h.sum h.max_value
+                 (String.concat ", " (Array.to_list (Array.map string_of_int h.buckets))) ))
+       (by_name s))
 
 let render s =
   let b = Buffer.create 512 in

@@ -31,8 +31,8 @@ val histogram : string -> histogram
 
     A labeled instrument is an ordinary instrument registered under the
     canonical series key [name{k="v",...}] (labels sorted by key, values
-    escaped) — {!snapshot}, {!diff}, {!flatten} and {!to_json} treat it
-    as one named cell.  Recording costs are identical to the unlabeled
+    escaped) — {!snapshot}, {!diff} and {!to_json} treat it as one named
+    cell.  Recording costs are identical to the unlabeled
     forms (the label join happens once, at registration).
 
     Label names must match [[a-zA-Z_][a-zA-Z0-9_]*]; label values may be
@@ -52,7 +52,7 @@ val histogram_with : labels:(string * string) list -> string -> histogram
 val encode_series : string -> (string * string) list -> string
 
 (** [remove name] — unregister the instrument, so it no longer appears in
-    snapshots (and hence in BENCH_*.json / stats embeddings).  Holders of
+    snapshots (and hence in BENCH_*.json and run reports).  Holders of
     the old handle keep recording into a detached record, harmlessly; a
     later [counter name] etc. registers a fresh instrument.  Meant for
     probe instruments a measurement creates and must not ship in its
@@ -108,12 +108,6 @@ val reset : unit -> unit
     samples.  Raises [Invalid_argument] on a non-histogram value, an
     empty histogram, or [p] outside the range. *)
 val estimate_percentile : value -> float -> int
-
-(** [flatten s] — scalar view for embedding into records: a counter or
-    gauge becomes one entry; a histogram becomes [name.count], [name.sum]
-    and [name.max].  Output is sorted by name regardless of the input
-    order, so embedded renderings diff stably across runs. *)
-val flatten : snapshot -> (string * float) list
 
 (** JSON object [{ "name": value, ... }]; histograms carry their buckets.
     Keys are sorted by name regardless of the input order. *)

@@ -43,21 +43,11 @@ let start () =
 (* [json] must be a complete JSON value; it is embedded verbatim. *)
 let add_section t ~name ~json = t.sections <- (name, json) :: t.sections
 
-let w_heap = Watermark.watermark "heap.peak_heap_words"
-
 let watermarks_json () =
-  let peaks = List.filter (fun (_, v) -> v > 0.0) (Watermark.snapshot ()) in
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Json.string name);
-      Buffer.add_string b ": ";
-      Buffer.add_string b (Json.float v))
-    peaks;
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    (List.filter_map
+       (fun (name, v) -> if v > 0.0 then Some (name, Json.float v) else None)
+       (Watermark.snapshot ()))
 
 let hotspots_json () =
   match Trace.events () with
@@ -97,42 +87,36 @@ let trace_tail_json ~limit =
 let assemble ?error t =
   let elapsed = Clock.elapsed_ns t.t0 in
   let g1 = Gc.quick_stat () in
-  Watermark.observe_int w_heap g1.Gc.heap_words;
+  Watermark.observe_heap ();
   let metrics_diff =
     Metrics.diff ~before:t.before_metrics ~after:(Metrics.snapshot ())
   in
-  let b = Buffer.create 1024 in
-  let field name json =
-    Buffer.add_string b ", ";
-    Buffer.add_string b (Json.string name);
-    Buffer.add_string b ": ";
-    Buffer.add_string b json
-  in
-  Buffer.add_string b (Printf.sprintf "{\"schema\": %s" (Json.string schema));
-  field "created_unix_ns" (Json.int (Clock.epoch_ns + t.t0 + elapsed));
-  field "wall_s" (Json.float (Clock.ns_to_s elapsed));
-  field "heap"
-    (Printf.sprintf
-       "{\"minor_words\": %s, \"major_words\": %s, \"heap_words\": %d, \
-        \"top_heap_words\": %d}"
-       (Json.float (g1.Gc.minor_words -. t.g0.Gc.minor_words))
-       (Json.float (g1.Gc.major_words -. t.g0.Gc.major_words))
-       g1.Gc.heap_words g1.Gc.top_heap_words);
-  List.iter (fun (name, json) -> field name json) (List.rev t.sections);
-  field "metrics" (Metrics.to_json metrics_diff);
-  field "watermarks" (watermarks_json ());
-  (match hotspots_json () with
-  | Some json -> field "hotspots" json
-  | None -> ());
-  (match error with
-  | Some (msg, backtrace) ->
-      field "error"
-        (Printf.sprintf "{\"message\": %s, \"backtrace\": %s}"
-           (Json.string msg) (Json.string backtrace));
-      field "trace_tail" (trace_tail_json ~limit:50)
-  | None -> ());
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.obj
+    ([
+       ("schema", Json.string schema);
+       ("created_unix_ns", Json.int (Clock.epoch_ns + t.t0 + elapsed));
+       ("wall_s", Json.float (Clock.ns_to_s elapsed));
+       ( "heap",
+         Printf.sprintf
+           "{\"minor_words\": %s, \"major_words\": %s, \"heap_words\": %d, \
+            \"top_heap_words\": %d}"
+           (Json.float (g1.Gc.minor_words -. t.g0.Gc.minor_words))
+           (Json.float (g1.Gc.major_words -. t.g0.Gc.major_words))
+           g1.Gc.heap_words g1.Gc.top_heap_words );
+     ]
+    @ List.rev t.sections
+    @ [ ("metrics", Metrics.to_json metrics_diff); ("watermarks", watermarks_json ()) ]
+    @ Option.to_list (Option.map (fun json -> ("hotspots", json)) (hotspots_json ()))
+    @
+    match error with
+    | Some (msg, backtrace) ->
+        [
+          ( "error",
+            Printf.sprintf "{\"message\": %s, \"backtrace\": %s}" (Json.string msg)
+              (Json.string backtrace) );
+          ("trace_tail", trace_tail_json ~limit:50);
+        ]
+    | None -> [])
 
 let finalize ?error t =
   match t.finished with
@@ -169,10 +153,6 @@ let write_file path json =
 (* Pretty-printing (the [qdt report] subcommand)                       *)
 (* ------------------------------------------------------------------ *)
 
-let pp_number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
-
 (* Raises [Failure] when [json] does not parse. *)
 let render json =
   let root =
@@ -201,8 +181,8 @@ let render json =
   | Some c ->
       let f name = Option.value ~default:0.0 (num c name) in
       line "  circuit       qubits=%s depth=%s gates=%s two-qubit=%s t-count=%s"
-        (pp_number (f "qubits")) (pp_number (f "depth")) (pp_number (f "gates"))
-        (pp_number (f "two_qubit")) (pp_number (f "t_count"));
+        (Json.number (f "qubits")) (Json.number (f "depth")) (Json.number (f "gates"))
+        (Json.number (f "two_qubit")) (Json.number (f "t_count"));
       (match Json.member "dynamic" c with
       | Some (Json.Bool d) -> line "                dynamic=%b" d
       | _ -> ())
@@ -222,7 +202,7 @@ let render json =
       List.iter
         (fun (name, v) ->
           match v with
-          | Json.Number x -> line "    %-34s %s" name (pp_number x)
+          | Json.Number x -> line "    %-34s %s" name (Json.number x)
           | _ -> ())
         fields
   | _ -> ());
@@ -232,11 +212,11 @@ let render json =
       List.iter
         (fun (name, v) ->
           match v with
-          | Json.Number x -> if x <> 0.0 then line "    %-34s %s" name (pp_number x)
+          | Json.Number x -> if x <> 0.0 then line "    %-34s %s" name (Json.number x)
           | Json.Object _ as h -> (
               match (Json.member "count" h, Json.member "max" h) with
               | Some (Json.Number c), Some (Json.Number m) when c <> 0.0 ->
-                  line "    %-34s count=%s max=%s" name (pp_number c) (pp_number m)
+                  line "    %-34s count=%s max=%s" name (Json.number c) (Json.number m)
               | _ -> ())
           | _ -> ())
         fields
@@ -250,7 +230,7 @@ let render json =
             (fun s ->
               match (str s "name", num s "self_ns", num s "count") with
               | Some n, Some self, Some count ->
-                  line "    %-34s %8.3f ms  x%s" n (self /. 1e6) (pp_number count)
+                  line "    %-34s %8.3f ms  x%s" n (self /. 1e6) (Json.number count)
               | _ -> ())
             spans
       | _ -> ())

@@ -107,10 +107,7 @@ let args_json attrs =
   match attrs with
   | [] -> ""
   | attrs ->
-      let fields =
-        List.map (fun (k, v) -> Json.string k ^ ": " ^ Json.string v) attrs
-      in
-      Printf.sprintf ", \"args\": {%s}" (String.concat ", " fields)
+      ", \"args\": " ^ Json.obj (List.map (fun (k, v) -> (k, Json.string v)) attrs)
 
 let event_json e =
   Printf.sprintf "{\"name\": %s, \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \"tid\": 1%s}"

@@ -57,6 +57,13 @@ let snapshot () =
 let reset () =
   locked @@ fun () -> Hashtbl.iter (fun _ w -> Atomic.set w.cell 0.0) registry
 
+(* Major-heap size.  Process-wide in OCaml 5 (every domain's heap), so
+   it is sampled at run and scrape scope, never per job. *)
+let w_heap = watermark "heap.peak_heap_words"
+
+let observe_heap () =
+  if Atomic.get on then raise_to w_heap.cell (float_of_int (Gc.quick_stat ()).Gc.heap_words)
+
 (* Peak resident set size.  Linux reports it as "VmHWM: <n> kB" in
    /proc/self/status; elsewhere the file is absent and the watermark
    simply stays at zero (callers treat 0 as "not measured", the same

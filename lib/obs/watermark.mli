@@ -38,6 +38,12 @@ val observe_int : t -> int -> unit
     scrape so capacity headroom is visible without an external agent. *)
 val observe_rss : unit -> unit
 
+(** [observe_heap ()] — sample the major-heap size ([Gc.quick_stat]'s
+    [heap_words], which counts every domain's heap) into the
+    ["heap.peak_heap_words"] watermark.  Sampled where peak RSS is: at
+    report assembly and on every [/metrics] scrape. *)
+val observe_heap : unit -> unit
+
 (** {1 Reading} *)
 
 (** Current peak (0.0 after {!reset} or before any observation). *)

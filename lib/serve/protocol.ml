@@ -110,19 +110,6 @@ let close_request_of_string body =
 (* Response bodies                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let obj fields =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Json.string k);
-      Buffer.add_string b ": ";
-      Buffer.add_string b v)
-    fields;
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 (* Dense states render sparsely: index/re/im triples for entries with
    probability above 1e-12, capped so a response stays bounded no
    matter the qubit count. *)
@@ -145,7 +132,7 @@ let result_json (payload : Qdt.Job.result) =
               :: !entries
           end)
         v;
-      obj
+      Json.obj
         [
           ("kind", Json.string "state");
           ("dim", Json.int dim);
@@ -153,14 +140,14 @@ let result_json (payload : Qdt.Job.result) =
            Printf.sprintf "[%s]" (String.concat ", " (List.rev !entries)));
         ]
   | Qdt.Job.Amplitude_of a ->
-      obj
+      Json.obj
         [
           ("kind", Json.string "amplitude");
           ("re", Json.float a.Qdt.Linalg.Cx.re);
           ("im", Json.float a.Qdt.Linalg.Cx.im);
         ]
   | Qdt.Job.Counts counts ->
-      obj
+      Json.obj
         [
           ("kind", Json.string "counts");
           ("counts",
@@ -169,58 +156,26 @@ let result_json (payload : Qdt.Job.result) =
                 (List.map (fun (k, c) -> Printf.sprintf "[%d, %d]" k c) counts)));
         ]
   | Qdt.Job.Expectation e ->
-      obj [ ("kind", Json.string "expectation"); ("value", Json.float e) ]
-
-let stats_json (s : Qdt.Backend.stats) =
-  let fields = ref [] in
-  let add k v = fields := (k, v) :: !fields in
-  (match s.Qdt.Backend.note with Some n -> add "note" (Json.string n) | None -> ());
-  (match s.Qdt.Backend.tableau_bytes with
-  | Some n -> add "tableau_bytes" (Json.int n)
-  | None -> ());
-  (match s.Qdt.Backend.mps with
-  | Some m ->
-      add "mps"
-        (obj
-           [
-             ("max_bond_dim", Json.int m.Qdt.Backend.max_bond_dim);
-             ("truncation_error", Json.float m.Qdt.Backend.truncation_error);
-           ])
-  | None -> ());
-  (match s.Qdt.Backend.dd with
-  | Some d ->
-      add "dd"
-        (obj
-           [
-             ("peak_nodes", Json.int d.Qdt.Backend.peak_nodes);
-             ("final_nodes", Json.int d.Qdt.Backend.final_nodes);
-             ("peak_live_nodes", Json.int d.Qdt.Backend.peak_live_nodes);
-             ("unique_hit_rate", Json.float d.Qdt.Backend.unique_hit_rate);
-             ("compute_hit_rate", Json.float d.Qdt.Backend.compute_hit_rate);
-           ])
-  | None -> ());
-  add "wall_s" (Json.float s.Qdt.Backend.wall_s);
-  add "backend" (Json.string s.Qdt.Backend.backend);
-  obj !fields
+      Json.obj [ ("kind", Json.string "expectation"); ("value", Json.float e) ]
 
 let ok_body ~job ~payload ~(stats : Qdt.Backend.stats) ~queue_wait_ns ~run_ns =
-  obj
+  Json.obj
     [
       ("ok", "true");
       ("job", Json.string (Qdt.Job.describe job));
       ("backend", Json.string stats.Qdt.Backend.backend);
       ("result", result_json payload);
-      ("stats", stats_json stats);
+      ("stats", Qdt.Backend.stats_to_json stats);
       ("queue_wait_ns", Json.int queue_wait_ns);
       ("run_ns", Json.int run_ns);
     ]
 
 let error_body ~typ ~message extra =
-  obj
+  Json.obj
     [
       ("ok", "false");
       ( "error",
-        obj
+        Json.obj
           (("type", Json.string typ)
           :: ("message", Json.string message)
           :: extra) );

@@ -237,6 +237,9 @@ type reply = {
   r_queue_wait_ns : int;
   r_run_ns : int;
   retry_after : bool;
+  request_fields : (string * string) list;
+      (** backend, job and session of a decoded request, for the access
+          log; empty when the body did not decode *)
 }
 
 let reply ?(retry_after = false) ?(queue_wait_ns = 0) ?(run_ns = 0) status
@@ -248,6 +251,7 @@ let reply ?(retry_after = false) ?(queue_wait_ns = 0) ?(run_ns = 0) status
     r_queue_wait_ns = queue_wait_ns;
     r_run_ns = run_ns;
     retry_after;
+    request_fields = [];
   }
 
 let wait_byte k ~deadline =
@@ -419,44 +423,48 @@ let healthz_body t =
 
 let metrics_body t =
   (* Fold the capacity signals in right before rendering: uptime, peak
-     RSS, and every nonzero watermark as a [qdt.watermark.*] gauge. *)
+     RSS and heap, and every nonzero watermark as a [qdt.watermark.*]
+     gauge. *)
   Metrics.set g_uptime (uptime_s t);
   Watermark.observe_rss ();
+  Watermark.observe_heap ();
   List.iter
     (fun (name, v) ->
       if v > 0.0 then Metrics.set (Metrics.gauge ("qdt.watermark." ^ name)) v)
     (Watermark.snapshot ());
   Metrics.render_prometheus (Metrics.snapshot ())
 
-(* One job request -> one reply, shared by /v1/jobs and /v1/batch. *)
+(* One job request -> one reply, shared by /v1/jobs and /v1/batch.  The
+   body is decoded once; the request's identifying fields ride out in
+   the reply for the access log. *)
 let handle_job t body =
   match Protocol.job_request_of_string body with
   | Error msg ->
       reply 400 "bad_request" (Protocol.error_body ~typ:"bad_request" ~message:msg [])
-  | Ok preq -> (
-      match Protocol.circuit_of preq with
-      | Error msg ->
-          reply 400 "bad_request"
-            (Protocol.error_body ~typ:"bad_request" ~message:msg [])
-      | Ok circuit -> submit_and_await t preq circuit)
+  | Ok preq ->
+      let r =
+        match Protocol.circuit_of preq with
+        | Error msg ->
+            reply 400 "bad_request"
+              (Protocol.error_body ~typ:"bad_request" ~message:msg [])
+        | Ok circuit -> submit_and_await t preq circuit
+      in
+      {
+        r with
+        request_fields =
+          ("backend", Json.string preq.Protocol.backend)
+          :: ("job", Json.string (Qdt.Job.describe preq.Protocol.job))
+          :: Option.to_list
+               (Option.map (fun s -> ("session", Json.string s)) preq.Protocol.session);
+      }
 
-let job_log_fields (r : reply) (body : string) =
-  let base =
-    [
+let job_log_fields (r : reply) =
+  r.request_fields
+  @ [
       ("outcome", Json.string r.outcome_label);
       ("queue_wait_ns", Json.int r.r_queue_wait_ns);
       ("run_ns", Json.int r.r_run_ns);
     ]
-  in
-  match Protocol.job_request_of_string body with
-  | Error _ -> base
-  | Ok preq ->
-      ("backend", Json.string preq.Protocol.backend)
-      :: ("job", Json.string (Qdt.Job.describe preq.Protocol.job))
-      :: (match preq.Protocol.session with
-         | Some s -> [ ("session", Json.string s) ]
-         | None -> [])
-      @ base
 
 let response_of_reply (r : reply) =
   Http.response ~status:r.status
@@ -479,7 +487,7 @@ let dispatch t (req : Http.request) =
       ("report", Http.response ~status:200 (Report.snapshot t.report), [])
   | "POST", "/v1/jobs" ->
       let r = handle_job t req.Http.body in
-      ("jobs", response_of_reply r, job_log_fields r req.Http.body)
+      ("jobs", response_of_reply r, job_log_fields r)
   | "POST", "/v1/batch" ->
       (* JSONL in, JSONL out, same order; a bad line yields an error
          object on its line and the batch continues. *)
@@ -544,19 +552,10 @@ let log_access t ~peer ~(req : Http.request) ~status ~latency_ns ~extra =
         ]
         @ extra
       in
-      let b = Buffer.create 256 in
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b (Json.string k);
-          Buffer.add_string b ": ";
-          Buffer.add_string b v)
-        fields;
-      Buffer.add_string b "}\n";
+      let line = Json.obj fields ^ "\n" in
       Mutex.lock t.amu;
       (try
-         output_string oc (Buffer.contents b);
+         output_string oc line;
          flush oc
        with Sys_error _ -> ());
       Mutex.unlock t.amu

@@ -29,6 +29,12 @@ let nn_chain n =
 
 let t_heavy = Generators.random_clifford_t ~seed:3 ~gates:100 ~t_fraction:0.3 5
 
+(* [value stats name] — the engine-named value, failing when absent. *)
+let value (stats : Backend.stats) name =
+  match List.assoc_opt name stats.Backend.values with
+  | Some v -> v
+  | None -> Alcotest.failf "%s stats missing %s" stats.Backend.backend name
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -138,7 +144,8 @@ let test_auto_results_and_note () =
   | Ok (Job.Counts counts, stats) ->
       Alcotest.(check string) "ghz is clifford" "stabilizer" stats.Backend.backend;
       Alcotest.(check bool) "choice logged" true (stats.Backend.note <> None);
-      Alcotest.(check bool) "tableau telemetry" true (stats.Backend.tableau_bytes <> None);
+      Alcotest.(check bool) "tableau telemetry" true
+        (List.mem_assoc "tableau_bytes" stats.Backend.values);
       let total = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
       Alcotest.(check int) "all shots" 200 total;
       List.iter
@@ -154,30 +161,66 @@ let test_auto_results_and_note () =
 let test_dd_telemetry () =
   match run "decision-diagrams" (Generators.qft 6) Job.Full_state with
   | Error e -> Alcotest.failf "dd simulate: %s" (Backend.error_to_string e)
-  | Ok (_, stats) -> (
-      match stats.Backend.dd with
-      | None -> Alcotest.fail "dd stats missing"
-      | Some d ->
-          Alcotest.(check bool) "peak >= final" true
-            (d.Backend.peak_nodes >= d.Backend.final_nodes);
-          Alcotest.(check bool) "peak > 0" true (d.Backend.peak_nodes > 0);
-          Alcotest.(check bool) "unique table populated" true
-            (d.Backend.unique_table_size > 0);
-          Alcotest.(check bool) "hit rates in [0,1]" true
-            (d.Backend.unique_hit_rate >= 0.0
-            && d.Backend.unique_hit_rate <= 1.0
-            && d.Backend.compute_hit_rate >= 0.0
-            && d.Backend.compute_hit_rate <= 1.0))
+  | Ok (_, stats) ->
+      let d = value stats in
+      Alcotest.(check bool) "peak >= final" true (d "dd.peak_nodes" >= d "dd.final_nodes");
+      Alcotest.(check bool) "peak > 0" true (d "dd.peak_nodes" > 0.0);
+      Alcotest.(check bool) "unique table populated" true (d "dd.unique_table_size" > 0.0);
+      Alcotest.(check bool) "hit rates in [0,1]" true
+        (d "dd.unique_hit_rate" >= 0.0
+        && d "dd.unique_hit_rate" <= 1.0
+        && d "dd.compute_hit_rate" >= 0.0
+        && d "dd.compute_hit_rate" <= 1.0)
 
 let test_mps_telemetry () =
   match run "mps" (Generators.ghz 8) Job.Full_state with
   | Error e -> Alcotest.failf "mps simulate: %s" (Backend.error_to_string e)
-  | Ok (_, stats) -> (
-      match stats.Backend.mps with
-      | None -> Alcotest.fail "mps stats missing"
-      | Some m ->
-          Alcotest.(check int) "ghz bond dimension" 2 m.Backend.max_bond_dim;
-          Alcotest.(check (float 1e-12)) "no truncation" 0.0 m.Backend.truncation_error)
+  | Ok (_, stats) ->
+      Alcotest.(check int) "ghz bond dimension" 2
+        (int_of_float (value stats "mps.max_bond_dim"));
+      Alcotest.(check (float 1e-12)) "no truncation" 0.0 (value stats "mps.truncation_error")
+
+(* One record, two renderers: JSON nests "dd.x" under "dd" and, like the
+   text line, prints integral values exactly. *)
+let test_stats_renderers () =
+  let stats =
+    {
+      Backend.backend = "decision-diagrams";
+      wall_s = 0.25;
+      note = Some "why";
+      values = [ ("dd.peak_nodes", 1234567.); ("dd.unique_hit_rate", 0.5); ("tableau_bytes", 96.) ];
+    }
+  in
+  let json =
+    match Qdt_obs.Json.parse (Backend.stats_to_json stats) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "stats JSON does not parse: %s" e
+  in
+  let num path =
+    match
+      List.fold_left (fun j k -> Option.bind j (Qdt_obs.Json.member k)) (Some json) path
+    with
+    | Some (Qdt_obs.Json.Number v) -> v
+    | _ -> Alcotest.failf "stats JSON lacks %s" (String.concat "." path)
+  in
+  Alcotest.(check (float 0.0)) "dd.peak_nodes exact" 1234567. (num [ "dd"; "peak_nodes" ]);
+  Alcotest.(check (float 0.0)) "dd.unique_hit_rate" 0.5 (num [ "dd"; "unique_hit_rate" ]);
+  Alcotest.(check (float 0.0)) "tableau_bytes" 96. (num [ "tableau_bytes" ]);
+  Alcotest.(check (float 0.0)) "wall_s" 0.25 (num [ "wall_s" ]);
+  Alcotest.(check (option string)) "backend" (Some "decision-diagrams")
+    (Option.bind (Qdt_obs.Json.member "backend" json) Qdt_obs.Json.to_string);
+  Alcotest.(check (option string)) "note" (Some "why")
+    (Option.bind (Qdt_obs.Json.member "note" json) Qdt_obs.Json.to_string);
+  let text = Backend.stats_to_string stats in
+  let contains needle =
+    let n = String.length needle in
+    let rec at i = i + n <= String.length text && (String.sub text i n = needle || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun needle ->
+      if not (contains needle) then Alcotest.failf "text %S lacks %S" text needle)
+    [ "dd.peak_nodes=1234567"; "dd.unique_hit_rate=0.5"; "tableau_bytes=96"; "\nchoice: why" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shim consistency and cross-backend agreement                        *)
@@ -244,6 +287,7 @@ let () =
         [
           Alcotest.test_case "dd" `Quick test_dd_telemetry;
           Alcotest.test_case "mps" `Quick test_mps_telemetry;
+          Alcotest.test_case "renderers" `Quick test_stats_renderers;
         ] );
       ( "shim",
         [

@@ -153,6 +153,9 @@ let test_metrics_exposition () =
   with_client t @@ fun c ->
   let body = job_body ~qasm:(ghz 3) ~session:"m" sample_job in
   ignore (ok_or_fail "job" (Client.post c ~path:"/v1/jobs" ~body));
+  (* OCaml 5 publishes heap sizes to [Gc.quick_stat] at minor
+     collections; one here makes the heap watermark nonzero. *)
+  Gc.minor ();
   let status, text = ok_or_fail "metrics" (Client.get c "/metrics") in
   Alcotest.(check int) "status" 200 status;
   let fams =
@@ -193,6 +196,10 @@ let test_metrics_exposition () =
   (* Watermarks fold in as gauges (peak RSS via /proc where present). *)
   Alcotest.(check bool) "dd watermark exposed" true
     (Option.is_some (Prom.find "qdt_watermark_dd_peak_live_nodes" fams));
+  Alcotest.(check bool) "heap watermark exposed" true
+    (match Prom.find "qdt_watermark_heap_peak_heap_words" fams with
+    | Some f -> Prom.total f > 0.0
+    | None -> false);
   if Sys.file_exists "/proc/self/status" then
     Alcotest.(check bool) "peak RSS exposed" true
       (match Prom.find "qdt_watermark_proc_peak_rss_bytes" fams with
@@ -265,7 +272,11 @@ let test_access_log_and_spans () =
           if Json.member field job_line = None then
             Alcotest.failf "access log line lacks %S" field)
         [ "ts_unix_ns"; "client"; "path"; "status"; "latency_ns"; "outcome";
-          "backend"; "job"; "session"; "queue_wait_ns"; "run_ns" ])
+          "backend"; "job"; "session"; "queue_wait_ns"; "run_ns" ];
+      Alcotest.(check (list string)) "access log field order"
+        [ "ts_unix_ns"; "client"; "method"; "path"; "status"; "latency_ns";
+          "backend"; "job"; "session"; "outcome"; "queue_wait_ns"; "run_ns" ]
+        (match job_line with Json.Object fields -> List.map fst fields | _ -> []))
 
 (* ------------------------------------------------------------------ *)
 (* Timeouts and backpressure                                           *)

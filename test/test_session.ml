@@ -1,5 +1,6 @@
 (* Tests for the session layer: warm-start cache behavior of the DD
-   engine, per-job stats deltas, buffer-reuse bit-identity against cold
+   engine, per-job stats deltas, per-job values that stay equal to their
+   serial runs while two domains run jobs, buffer-reuse bit-identity against cold
    sessions, close semantics, auto routing inside one session, and the
    registry's session table + name suggestions. *)
 
@@ -18,10 +19,11 @@ let ok name = function
   | Ok (payload, stats) -> (payload, stats)
   | Error e -> Alcotest.failf "%s: %s" name (Backend.error_to_string e)
 
-let dd_of name (stats : Backend.stats) =
-  match stats.Backend.dd with
-  | Some d -> d
-  | None -> Alcotest.failf "%s: dd stats missing" name
+(* [dd_of name stats key] — the job's "dd.<key>" value. *)
+let dd_of name (stats : Backend.stats) key =
+  match List.assoc_opt ("dd." ^ key) stats.Backend.values with
+  | Some v -> v
+  | None -> Alcotest.failf "%s: dd stats missing %s" name key
 
 let t_heavy = Generators.random_clifford_t ~seed:3 ~gates:120 ~t_fraction:0.3 6
 
@@ -39,14 +41,14 @@ let test_dd_warm_start () =
   (* Identical work against warm unique/compute tables: every node
      construction and every cached operation must hit. *)
   Alcotest.(check bool) "cold compute hits partial" true
-    (d1.Backend.compute_hit_rate < 1.0);
+    (d1 "compute_hit_rate" < 1.0);
   Alcotest.(check bool)
     (Printf.sprintf "warm compute hit rate rose (%.3f -> %.3f)"
-       d1.Backend.compute_hit_rate d2.Backend.compute_hit_rate)
+       (d1 "compute_hit_rate") (d2 "compute_hit_rate"))
     true
-    (d2.Backend.compute_hit_rate > d1.Backend.compute_hit_rate);
+    (d2 "compute_hit_rate" > d1 "compute_hit_rate");
   Alcotest.(check (float 1e-12)) "warm unique-table all hits" 1.0
-    d2.Backend.unique_hit_rate
+    (d2 "unique_hit_rate")
 
 (* ------------------------------------------------------------------ *)
 (* Per-job stats are deltas, not cumulative totals                     *)
@@ -68,12 +70,78 @@ let test_dd_stats_are_deltas () =
       let _, st2 = ok "job 2" (S.submit s c Job.Full_state) in
       S.close s;
       let d1 = dd_of "job 1" st1 and d2 = dd_of "job 2" st2 in
-      Alcotest.(check bool) "job 1 collected" true (d1.Backend.gc_runs > 0);
+      Alcotest.(check bool) "job 1 collected" true (d1 "gc_runs" > 0.0);
       Alcotest.(check bool)
-        (Printf.sprintf "gc runs per job, not cumulative (%d then %d)"
-           d1.Backend.gc_runs d2.Backend.gc_runs)
+        (Printf.sprintf "gc runs per job, not cumulative (%.0f then %.0f)"
+           (d1 "gc_runs") (d2 "gc_runs"))
         true
-        (d2.Backend.gc_runs <= d1.Backend.gc_runs))
+        (d2 "gc_runs" <= d1 "gc_runs"))
+
+(* ------------------------------------------------------------------ *)
+(* Per-job values stay true while other domains run jobs               *)
+(* ------------------------------------------------------------------ *)
+
+(* One lane is one session's job sequence; [run_lane] returns each job's
+   stats record minus its wall time. *)
+let run_lane (name, jobs) =
+  let (module S : Backend.SESSION) = get_session name in
+  let s = S.create () in
+  let stats =
+    List.map
+      (fun (c, job) -> { (snd (ok name (S.submit s c job))) with Backend.wall_s = 0.0 })
+      jobs
+  in
+  S.close s;
+  stats
+
+let test_values_under_concurrency () =
+  let deep = Generators.random_clifford_t ~seed:9 ~gates:200 ~t_fraction:0.2 7 in
+  let dd_lane =
+    ( "decision-diagrams",
+      List.concat_map
+        (fun _ ->
+          [
+            (deep, Job.Full_state);
+            (t_heavy, Job.Sample { seed = 4; shots = 64 });
+            (deep, Job.Expectation_z { seed = 0; qubit = 2 });
+          ])
+        [ 1; 2; 3 ] )
+  in
+  let mps_lane =
+    ( "mps",
+      List.map
+        (fun seed -> (Generators.qaoa_maxcut ~seed ~layers:2 8, Job.Expectation_z { seed; qubit = 0 }))
+        [ 1; 2; 3; 4 ] )
+  in
+  let stabilizer_lane =
+    ( "stabilizer",
+      List.map
+        (fun seed ->
+          (Generators.random_clifford ~seed ~gates:200 40, Job.Sample { seed; shots = 128 }))
+        [ 1; 2; 3; 4 ] )
+  in
+  let m = Qdt.Obs.Metrics.enabled () and w = Qdt.Obs.Watermark.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Qdt.Obs.Metrics.set_enabled m;
+      Qdt.Obs.Watermark.set_enabled w)
+    (fun () ->
+      Qdt.Obs.Metrics.set_enabled true;
+      Qdt.Obs.Watermark.set_enabled true;
+      let serial = List.map run_lane [ dd_lane; mps_lane; dd_lane; stabilizer_lane ] in
+      let on_domain lanes = Domain.spawn (fun () -> List.map run_lane lanes) in
+      let a = on_domain [ dd_lane; mps_lane ] and b = on_domain [ dd_lane; stabilizer_lane ] in
+      let concurrent = Domain.join a @ Domain.join b in
+      List.iter2
+        (fun (name, _) (serial, concurrent) ->
+          List.iteri
+            (fun i (s, c) ->
+              if s <> c then
+                Alcotest.failf "%s job %d: concurrent stats differ from serial:\n  %s\n  %s"
+                  name i (Backend.stats_to_string s) (Backend.stats_to_string c))
+            (List.combine serial concurrent))
+        [ dd_lane; mps_lane; dd_lane; stabilizer_lane ]
+        (List.combine serial concurrent))
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-reuse paths agree with cold sessions                         *)
@@ -179,9 +247,9 @@ let test_one_shot_shim_is_cold () =
   let d1 = dd_of "1" (snd (ok "1" (Backend.run_once dd t_heavy Job.Full_state))) in
   let d2 = dd_of "2" (snd (ok "2" (Backend.run_once dd t_heavy Job.Full_state))) in
   Alcotest.(check (float 1e-12)) "identical cold unique-hit rates"
-    d1.Backend.unique_hit_rate d2.Backend.unique_hit_rate;
+    (d1 "unique_hit_rate") (d2 "unique_hit_rate");
   Alcotest.(check (float 1e-12)) "identical cold compute-hit rates"
-    d1.Backend.compute_hit_rate d2.Backend.compute_hit_rate
+    (d1 "compute_hit_rate") (d2 "compute_hit_rate")
 
 (* ------------------------------------------------------------------ *)
 (* Registry: session table and name suggestions                        *)
@@ -209,6 +277,8 @@ let () =
           Alcotest.test_case "dd compute cache" `Quick test_dd_warm_start;
           Alcotest.test_case "per-job deltas" `Quick test_dd_stats_are_deltas;
         ] );
+      ( "concurrency",
+        [ Alcotest.test_case "values match serial" `Quick test_values_under_concurrency ] );
       ( "bit-identity",
         [
           Alcotest.test_case "arrays buffer reuse" `Quick test_arrays_buffer_reuse;
