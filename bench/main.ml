@@ -52,25 +52,12 @@ let counted name =
   | Some (Qdt.Obs.Metrics.Counter_v n) -> n
   | _ -> 0
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let write_json ~experiment ~smoke ~report =
   let file = Printf.sprintf "BENCH_%s.json" experiment in
   let oc = open_out file in
-  let field (k, v) = Printf.sprintf "    \"%s\": %s" (json_escape k) v in
+  let field (k, v) = Printf.sprintf "    \"%s\": %s" (Qdt.Obs.Json.escape k) v in
   let obj entries = String.concat ",\n" (List.map field entries) in
-  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" (json_escape experiment) smoke;
+  Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" (Qdt.Obs.Json.escape experiment) smoke;
   Printf.fprintf oc "  \"timings_ns\": {\n%s\n  },\n"
     (obj (List.rev_map (fun (k, s) -> (k, Stats.summary_to_json s)) !json_timings));
   Printf.fprintf oc "  \"metrics\": {\n%s\n  },\n" (obj (List.rev !json_metrics));
@@ -500,19 +487,6 @@ let e10 () =
 (* E8b: optimization method ablation                                   *)
 (* ------------------------------------------------------------------ *)
 
-let non_clifford_count c =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Circuit.Apply { gate; _ } -> (
-          match Qdt.Compile.Optimize.diag_angle gate with
-          | Some theta ->
-              let r = theta /. (Float.pi /. 2.0) in
-              if Float.abs (r -. Float.round r) < 1e-9 then acc else acc + 1
-          | None -> acc)
-      | _ -> acc)
-    0 (Circuit.instructions c)
-
 let e8b () =
   header "E8b" "Ablation: peephole vs phase-polynomial vs ZX pipeline";
   Printf.printf "%6s | %16s | %16s | %16s | %16s\n" "seed" "input (g/T)" "peephole (g/T)"
@@ -523,7 +497,10 @@ let e8b () =
       let peephole = fst (Qdt.Compile.Optimize.optimize c) in
       let pp = Qdt.Compile.Phase_poly.optimize_blocks c in
       let zx = Qdt.Zx.Extract.optimize_circuit c in
-      let fmt c = Printf.sprintf "%d/%d" (Circuit.count_total c) (non_clifford_count c) in
+      let fmt c =
+        Printf.sprintf "%d/%d" (Circuit.count_total c)
+          (Qdt.Compile.Optimize.non_clifford_count c)
+      in
       Printf.printf "%6d | %16s | %16s | %16s | %16s\n" seed (fmt c) (fmt peephole)
         (fmt pp) (fmt zx))
     [ 1; 2; 3; 4 ];
@@ -806,12 +783,8 @@ let e15 () =
 let e16_run ~gc_threshold c =
   let mgr = Qdt.Dd.Pkg.create ~gc_threshold () in
   let st = Qdt.Dd.Sim.make mgr (Circuit.num_qubits c) in
-  let rng = Random.State.make [| 0 |] in
-  let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
   let t0 = Qdt.Obs.Clock.now_ns () in
-  List.iter
-    (fun instr -> Qdt.Dd.Sim.apply_instruction st instr ~rng ~clbits)
-    (Circuit.instructions c);
+  ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st));
   let wall = Qdt.Obs.Clock.ns_to_s (Qdt.Obs.Clock.elapsed_ns t0) in
   let stats = Qdt.Dd.Pkg.cache_stats mgr in
   let rate h l = if l = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int l in
@@ -897,13 +870,8 @@ let e17 ~smoke () =
   let c = Generators.random_clifford_t ~seed:11 ~gates ~t_fraction:0.2 n in
   let reps = !reps_flag in
   let run_once () =
-    let mgr = Qdt.Dd.Pkg.create () in
-    let st = Qdt.Dd.Sim.make mgr (Circuit.num_qubits c) in
-    let rng = Random.State.make [| 0 |] in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Qdt.Dd.Sim.apply_instruction st instr ~rng ~clbits)
-      (Circuit.instructions c)
+    let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
+    ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
   let time_reps () =
     (* best-of-reps damps scheduler noise for a fair ratio *)
@@ -1366,13 +1334,8 @@ let e21 ~smoke () =
   let c = Generators.random_clifford_t ~seed:11 ~gates ~t_fraction:0.2 n in
   let reps = !reps_flag in
   let run_once () =
-    let mgr = Qdt.Dd.Pkg.create () in
-    let st = Qdt.Dd.Sim.make mgr (Circuit.num_qubits c) in
-    let rng = Random.State.make [| 0 |] in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Qdt.Dd.Sim.apply_instruction st instr ~rng ~clbits)
-      (Circuit.instructions c)
+    let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
+    ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
   let time_reps body =
     let best = ref infinity in

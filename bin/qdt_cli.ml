@@ -720,20 +720,6 @@ let export_cmd =
 (* optimize                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* T-like gates: non-Clifford diagonal rotations however they are spelled *)
-let non_clifford_count c =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Circuit.Apply { gate; _ } -> (
-          match Qdt.Compile.Optimize.diag_angle gate with
-          | Some theta ->
-              let r = theta /. (Float.pi /. 2.0) in
-              if Float.abs (r -. Float.round r) < 1e-9 then acc else acc + 1
-          | None -> acc)
-      | _ -> acc)
-    0 (Circuit.instructions c)
-
 let optimize_cmd =
   let run c method_ output =
     let optimized =
@@ -746,8 +732,8 @@ let optimize_cmd =
       (Circuit.count_total c)
       (Circuit.count_total optimized)
       (Circuit.depth c) (Circuit.depth optimized)
-      (non_clifford_count c)
-      (non_clifford_count optimized);
+      (Qdt.Compile.Optimize.non_clifford_count c)
+      (Qdt.Compile.Optimize.non_clifford_count optimized);
     let text = Qasm.to_string optimized in
     match output with
     | None -> print_string text
@@ -777,8 +763,7 @@ let serve_cmd =
     with_obs ~trace ~trace_format ~metrics @@ fun () ->
     let cfg =
       {
-        Qdt_serve.Server.default_config with
-        host;
+        Qdt_serve.Server.host;
         port;
         workers;
         queue_depth;

@@ -34,18 +34,16 @@ let apply_channel_stochastic sv ch q ~rng =
 
 let run_single ?(seed = 0) ~noise circuit =
   let sv = Statevector.create (Circuit.num_qubits circuit) in
-  let rng = Random.State.make [| seed; 77 |] in
-  let clbits = Array.make (max 1 (Circuit.num_clbits circuit)) 0 in
-  List.iter
-    (fun instr ->
-      Statevector.apply_instruction sv instr ~rng ~clbits;
-      match instr with
-      | Circuit.Barrier _ -> ()
-      | _ ->
-          List.iter
-            (fun q -> apply_channel_stochastic sv (noise.channel ()) q ~rng)
-            (Circuit.qubits_of_instruction instr))
-    (Circuit.instructions circuit);
+  let noisy_step instr ~rng ~clbits =
+    Statevector.apply_instruction sv instr ~rng ~clbits;
+    match instr with
+    | Circuit.Barrier _ -> ()
+    | _ ->
+        List.iter
+          (fun q -> apply_channel_stochastic sv (noise.channel ()) q ~rng)
+          (Circuit.qubits_of_instruction instr)
+  in
+  ignore (Circuit.execute circuit ~rng:(Random.State.make [| seed; 77 |]) noisy_step);
   sv
 
 (* Trajectory-level parallelism.  Each trajectory's RNG stream is derived

@@ -178,6 +178,15 @@ let creg_value clbits =
   Array.iteri (fun k bit -> if bit <> 0 then v := !v lor (1 lsl k)) clbits;
   !v
 
+(* The one instruction walk behind every simulator's run, the session
+   adapters' warm and per-shot runs, and the seeded-RNG pins: a zeroed
+   register (one slot even without clbits, so [If] can read it), then
+   every instruction in program order. *)
+let execute c ~rng step =
+  let clbits = Array.make (max 1 c.num_clbits) 0 in
+  List.iter (fun instr -> step instr ~rng ~clbits) (instructions c);
+  clbits
+
 let adjoint c =
   if not (is_unitary_only c) then
     invalid_arg "Circuit.adjoint: circuit contains measurements or resets";

@@ -126,6 +126,19 @@ val is_dynamic : t -> bool
     (clbit [k] is bit [k]) — the value OpenQASM 2 [if (c==n)] tests. *)
 val creg_value : int array -> int
 
+(** [execute c ~rng step] — the instruction walk every simulator shares:
+    allocate a zeroed classical register of [max 1 (num_clbits c)] bits,
+    call [step instr ~rng ~clbits] on each instruction in program order,
+    and return the register.  [step] is a simulator's
+    [apply_instruction] on its state; [rng] drives measurement
+    collapse, so one seed gives one outcome on every engine that walks
+    the same way. *)
+val execute :
+  t ->
+  rng:Random.State.t ->
+  (instruction -> rng:Random.State.t -> clbits:int array -> unit) ->
+  int array
+
 (** {1 Statistics} *)
 
 (** [gate_counts c] maps gate mnemonics ("h", "cx", "ccx", "swap", …, with

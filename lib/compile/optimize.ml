@@ -26,6 +26,20 @@ let diag_angle = function
   | Gate.U3 _ ->
       None
 
+(* T-like gates: non-Clifford diagonal rotations however they are spelled. *)
+let non_clifford_count c =
+  List.fold_left
+    (fun acc instr ->
+      match instr with
+      | Circuit.Apply { gate; _ } -> (
+          match diag_angle gate with
+          | Some theta ->
+              let r = theta /. (Float.pi /. 2.0) in
+              if Float.abs (r -. Float.round r) < 1e-9 then acc else acc + 1
+          | None -> acc)
+      | _ -> acc)
+    0 (Circuit.instructions c)
+
 let gates_inverse a b =
   match (a, b) with
   | Gate.X, Gate.X | Gate.Y, Gate.Y | Gate.Z, Gate.Z | Gate.H, Gate.H

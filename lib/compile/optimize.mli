@@ -29,3 +29,8 @@ val optimize : Qdt_circuit.Circuit.t -> Qdt_circuit.Circuit.t * stats
     to global phase), [None] for non-diagonal gates.  Shared with the
     phase-polynomial optimizer. *)
 val diag_angle : Qdt_circuit.Gate.t -> float option
+
+(** [non_clifford_count c] counts the diagonal gates ({!diag_angle})
+    whose angle is not a multiple of π/2 — T-like gates however they
+    are spelled (T, T†, Rz, phase). *)
+val non_clifford_count : Qdt_circuit.Circuit.t -> int

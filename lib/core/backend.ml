@@ -45,9 +45,6 @@ let operation_of_job : Job.t -> operation = function
   | Job.Sample _ -> Sample
   | Job.Expectation_z _ -> Expectation_z
 
-let unsupported ~backend ~operation reason =
-  Error { backend; operation = operation_name operation; reason }
-
 let error_to_string e =
   Printf.sprintf "backend %s does not support %s: %s" e.backend e.operation e.reason
 
@@ -126,16 +123,21 @@ let stats_to_json (s : stats) =
 let max_dense_qubits = 24
 
 (* The shared admission guard, called once at the top of every engine's
-   [submit]: operation capability, qubit-count limit, the dense-output
-   cap, job parameters inside the circuit, and measurement/reset
-   handling.  [Full_state] and [Amplitude] always require a unitary
-   circuit (a collapsed state is not "the" final state);
-   [Sample]/[Expectation_z] admit measurements exactly when the backend
-   executes them ([supports_nonunitary]). *)
-let admit ~name ~caps c job =
+   [submit]: session liveness, operation capability, qubit-count limit,
+   the dense-output cap, job parameters inside the circuit,
+   measurement/reset handling, and the Clifford restriction.
+   [Full_state] and [Amplitude] always require a unitary circuit (a
+   collapsed state is not "the" final state); [Sample]/[Expectation_z]
+   admit measurements exactly when the backend executes them
+   ([supports_nonunitary]).  Engines decline nothing on their own, so
+   [auto]'s routing filter, which asks this guard, is exact. *)
+let admit ~closed ~name ~caps c job =
   let operation = operation_of_job job in
-  let decline reason = unsupported ~backend:name ~operation reason in
-  if not (supports caps operation) then decline "operation not provided by this backend"
+  let decline reason =
+    Error { backend = name; operation = operation_name operation; reason }
+  in
+  if closed then decline "session is closed"
+  else if not (supports caps operation) then decline "operation not provided by this backend"
   else
     let num_qubits = Qdt_circuit.Circuit.num_qubits c in
     match (caps.max_qubits, job) with
@@ -154,12 +156,15 @@ let admit ~name ~caps c job =
     | _ ->
         if Qdt_circuit.Circuit.has_conditionals c && not caps.dynamic then
           decline "circuit contains classically-controlled operations"
-        else if Qdt_circuit.Circuit.is_unitary_only c then Ok ()
         else if
-          caps.supports_nonunitary
-          && (operation = Sample || operation = Expectation_z)
-        then Ok ()
-        else decline "circuit contains measurements or resets"
+          not
+            (Qdt_circuit.Circuit.is_unitary_only c
+            || (caps.supports_nonunitary
+               && (operation = Sample || operation = Expectation_z)))
+        then decline "circuit contains measurements or resets"
+        else if caps.clifford_only && not (Qdt_stabilizer.Tableau.supports c) then
+          decline "circuit contains non-Clifford gates"
+        else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -185,8 +190,8 @@ module type SESSION = sig
 
   (** [submit session c job] executes [job] on circuit [c].  The stats
       record covers this job only (per-job deltas, not session
-      cumulative totals).  Submitting to a closed session returns a
-      typed error. *)
+      cumulative totals).  Every decline, a closed session included,
+      comes from {!admit}. *)
   val submit : t -> Qdt_circuit.Circuit.t -> Job.t -> Job.result outcome
 
   (** [close session] releases the engine; idempotent. *)
@@ -194,15 +199,6 @@ module type SESSION = sig
 end
 
 type engine = (module SESSION)
-
-(* The typed error every engine returns for a submit after close. *)
-let session_closed ~backend job =
-  Error
-    {
-      backend;
-      operation = operation_name (operation_of_job job);
-      reason = "session is closed";
-    }
 
 (* [run_once engine c job] — one job on a fresh engine: open, submit,
    close.  A fresh session starts from the exact state the pre-session

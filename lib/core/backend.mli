@@ -49,7 +49,6 @@ val operation_name : operation -> string
 (** [supports caps op] — capability query for one operation. *)
 val supports : capabilities -> operation -> bool
 
-val unsupported : backend:string -> operation:operation -> string -> ('a, error) result
 val error_to_string : error -> string
 
 (** [operation_of_job job] — the capability bucket a job falls in. *)
@@ -85,14 +84,19 @@ val stats_to_json : stats -> string
     circuit itself at this width. *)
 val max_dense_qubits : int
 
-(** [admit ~name ~caps c job] — the shared admission guard every engine
-    calls once at the top of [submit].  It declines, with a typed error:
-    an operation the capability record lacks; a circuit wider than
-    [caps.max_qubits]; a [Full_state] job above {!max_dense_qubits}; an
-    [Amplitude k] outside [[0, 2^n)]; an [Expectation_z] qubit outside
-    [[0, n)]; classical control on a backend without [dynamic]; and
-    measurements or resets where the job or backend cannot take them. *)
+(** [admit ~closed ~name ~caps c job] — the shared admission guard every
+    engine calls once at the top of [submit], passing its session's
+    [closed] flag; no engine declines a job anywhere else.  It
+    declines, with a typed error and in this order: any job on a closed
+    session; an operation the capability record lacks; a circuit wider
+    than [caps.max_qubits]; a [Full_state] job above
+    {!max_dense_qubits}; an [Amplitude k] outside [[0, 2^n)]; an
+    [Expectation_z] qubit outside [[0, n)]; classical control on a
+    backend without [dynamic]; measurements or resets where the job or
+    backend cannot take them; and non-Clifford gates on a
+    [clifford_only] backend. *)
 val admit :
+  closed:bool ->
   name:string ->
   caps:capabilities ->
   Qdt_circuit.Circuit.t ->
@@ -119,8 +123,9 @@ module type SESSION = sig
       [qdt.backend.runs] metric; omit it for untagged one-shot use. *)
   val create : ?label:string -> unit -> t
 
-  (** [submit session c job] executes [job] on circuit [c].  Submitting
-      to a closed session returns a typed error. *)
+  (** [submit session c job] executes [job] on circuit [c], or returns
+      the typed error {!admit} gives for it (a closed session
+      included). *)
   val submit : t -> Qdt_circuit.Circuit.t -> Job.t -> Job.result outcome
 
   (** [close session] releases the engine; idempotent. *)
@@ -128,9 +133,6 @@ module type SESSION = sig
 end
 
 type engine = (module SESSION)
-
-(** The typed error every engine returns for a submit after close. *)
-val session_closed : backend:string -> Job.t -> ('a, error) result
 
 (** [run_once engine c job] — one job on a fresh engine: create, submit,
     then close (also when [submit] raises).  Results are bit-identical to

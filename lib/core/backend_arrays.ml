@@ -42,61 +42,42 @@ module Session = struct
         t.sv <- Some sv;
         sv
 
-  (* The per-job run: identical to [Sv.run] except the statevector comes
-     from [acquire], so warm and cold sessions see the same RNG stream,
-     the same instruction walk, and bit-identical amplitudes. *)
+  (* The per-job run: [Sv.run]'s walk on the statevector from [acquire],
+     so warm and cold sessions see the same RNG stream and bit-identical
+     amplitudes. *)
   let run_in t ~seed c =
     let sv = acquire t (Circuit.num_qubits c) in
-    let rng = Random.State.make [| seed |] in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Sv.apply_instruction sv instr ~rng ~clbits)
-      (Circuit.instructions c);
-    (sv, clbits)
+    ignore (Circuit.execute c ~rng:(Random.State.make [| seed |]) (Sv.apply_instruction sv));
+    sv
 
   (* One shot of a dynamic circuit: fresh state, live classical register.
      Deliberately not on the session buffer — shots parallelise across
-     domains, so each builds its own statevector.  The counts key is the
-     creg when the circuit measures, else a terminal measurement of
-     every qubit. *)
+     domains, so each builds its own statevector. *)
   let run_shot c ~rng =
     let sv = Sv.create (Circuit.num_qubits c) in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Sv.apply_instruction sv instr ~rng ~clbits)
-      (Circuit.instructions c);
-    if Circuit.has_measure c then Circuit.creg_value clbits
-    else begin
-      let key = ref 0 in
-      for q = 0 to Circuit.num_qubits c - 1 do
-        key := !key lor (Sv.measure_qubit sv ~rng q lsl q)
-      done;
-      !key
-    end
+    let clbits = Circuit.execute c ~rng (Sv.apply_instruction sv) in
+    Shot_engine.shot_key c clbits ~measure:(Sv.measure_qubit sv ~rng)
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = Backend.admit ~name ~caps:capabilities c job in
-      Ok
-        (Backend.timed ~name ~prefix:"arrays" ?session:t.label job (fun () ->
-             match job with
-             | Job.Full_state -> Job.State (Sv.to_vec (fst (run_in t ~seed:0 c)))
-             | Job.Amplitude k -> Job.Amplitude_of (Sv.amplitude (fst (run_in t ~seed:0 c)) k)
-             | Job.Sample { seed; shots } ->
-                 Job.Counts
-                   (match Shot_engine.plan c with
-                   | Shot_engine.Static_unitary ->
-                       let state, _clbits = run_in t ~seed c in
-                       Sv.sample ~seed:(seed + 1) state ~shots
-                   | Shot_engine.Static_final { unitary; map } ->
-                       let state, _clbits = run_in t ~seed unitary in
-                       Shot_engine.remap_counts ~map (Sv.sample ~seed:(seed + 1) state ~shots)
-                   | Shot_engine.Dynamic ->
-                       (* [run_shot] builds a fresh statevector per shot, so it
-                          is reentrant and the shots parallelise across domains. *)
-                       Shot_engine.sample_per_shot_parallel ~seed ~shots
-                         ~run_shot:(run_shot c))
-             | Job.Expectation_z { seed; qubit } ->
-                 Job.Expectation (Sv.expectation_z (fst (run_in t ~seed c)) qubit)))
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    Ok
+      (Backend.timed ~name ~prefix:"arrays" ?session:t.label job (fun () ->
+           match job with
+           | Job.Full_state -> Job.State (Sv.to_vec (run_in t ~seed:0 c))
+           | Job.Amplitude k -> Job.Amplitude_of (Sv.amplitude (run_in t ~seed:0 c) k)
+           | Job.Sample { seed; shots } ->
+               Job.Counts
+                 (match Shot_engine.plan c with
+                 | Shot_engine.Static_unitary ->
+                     Sv.sample ~seed:(seed + 1) (run_in t ~seed c) ~shots
+                 | Shot_engine.Static_final { unitary; map } ->
+                     Shot_engine.remap_counts ~map
+                       (Sv.sample ~seed:(seed + 1) (run_in t ~seed unitary) ~shots)
+                 | Shot_engine.Dynamic ->
+                     (* [run_shot] builds a fresh statevector per shot, so it
+                        is reentrant and the shots parallelise across domains. *)
+                     Shot_engine.sample_per_shot_parallel ~seed ~shots
+                       ~run_shot:(run_shot c))
+           | Job.Expectation_z { seed; qubit } ->
+               Job.Expectation (Sv.expectation_z (run_in t ~seed c) qubit)))
 end

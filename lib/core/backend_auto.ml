@@ -43,7 +43,7 @@ let features = Features.analyze
 let t_heavy = Features.t_heavy
 
 let admits (module S : Backend.SESSION) c job =
-  Result.is_ok (Backend.admit ~name:S.name ~caps:S.capabilities c job)
+  Result.is_ok (Backend.admit ~closed:false ~name:S.name ~caps:S.capabilities c job)
 
 let stabilizer : Backend.engine = (module Backend_stabilizer.Session)
 let mps : Backend.engine = (module Backend_mps.Session)
@@ -127,10 +127,8 @@ module Session = struct
         o
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = Backend.admit ~name ~caps:capabilities c job in
-      let engine, reason = choose c job in
-      let (Opened ((module S), s)) = sub_session t engine in
-      annotate reason (S.submit s c job)
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    let engine, reason = choose c job in
+    let (Opened ((module S), s)) = sub_session t engine in
+    annotate reason (S.submit s c job)
 end

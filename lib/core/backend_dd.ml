@@ -41,17 +41,16 @@ module Session = struct
 
   let close t = t.closed <- true
 
-  (* Step the simulation manually, tracking the largest intermediate DD. *)
+  (* One instruction, then the state-DD size into [peak]: the walk's
+     step when the run tracks the largest intermediate DD. *)
+  let tracked st peak instr ~rng ~clbits =
+    Sim.apply_instruction st instr ~rng ~clbits;
+    peak := max !peak (Sim.node_count st)
+
   let run_tracked mgr ~seed c =
     let st = Sim.make mgr (Circuit.num_qubits c) in
-    let rng = Random.State.make [| seed |] in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
     let peak = ref 0 in
-    List.iter
-      (fun instr ->
-        Sim.apply_instruction st instr ~rng ~clbits;
-        peak := max !peak (Sim.node_count st))
-      (Circuit.instructions c);
+    ignore (Circuit.execute c ~rng:(Random.State.make [| seed |]) (tracked st peak));
     Qdt_obs.Watermark.observe_int w_peak_nodes !peak;
     (st, !peak)
 
@@ -69,23 +68,11 @@ module Session = struct
     let last = ref None in
     let counts =
       Shot_engine.sample_per_shot ~seed ~shots ~run_shot:(fun ~rng ->
-          (match !last with Some prev -> Sim.release prev | None -> ());
+          Option.iter Sim.release !last;
           let st = Sim.make mgr n in
           last := Some st;
-          let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-          List.iter
-            (fun instr ->
-              Sim.apply_instruction st instr ~rng ~clbits;
-              peak := max !peak (Sim.node_count st))
-            (Circuit.instructions c);
-          if Circuit.has_measure c then Circuit.creg_value clbits
-          else begin
-            let key = ref 0 in
-            for q = 0 to n - 1 do
-              key := !key lor (Sim.measure_qubit st ~rng q lsl q)
-            done;
-            !key
-          end)
+          let clbits = Circuit.execute c ~rng (tracked st peak) in
+          Shot_engine.shot_key c clbits ~measure:(Sim.measure_qubit st ~rng))
     in
     let st = match !last with Some st -> st | None -> Sim.make mgr n in
     (st, !peak, counts)
@@ -111,54 +98,52 @@ module Session = struct
     ]
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = Backend.admit ~name ~caps:capabilities c job in
-      let (st, peak, payload), stats =
-        Backend.timed ~name ~prefix:"dd" ?session:t.label job (fun () ->
-            match job with
-            | Job.Full_state | Job.Amplitude _ ->
-                let st, peak = run_tracked t.mgr ~seed:0 c in
-                (st, peak, None)
-            | Job.Sample { seed; shots } -> (
-                match Shot_engine.plan c with
-                | Shot_engine.Static_unitary ->
-                    let st, peak = run_tracked t.mgr ~seed c in
-                    (st, peak, Some (Job.Counts (Sim.sample ~seed:(seed + 1) st ~shots)))
-                | Shot_engine.Static_final { unitary; map } ->
-                    let st, peak = run_tracked t.mgr ~seed unitary in
-                    ( st,
-                      peak,
-                      Some
-                        (Job.Counts
-                           (Shot_engine.remap_counts ~map
-                              (Sim.sample ~seed:(seed + 1) st ~shots))) )
-                | Shot_engine.Dynamic ->
-                    let st, peak, counts = run_dynamic t.mgr ~seed ~shots c in
-                    (st, peak, Some (Job.Counts counts)))
-            | Job.Expectation_z { seed; qubit } ->
-                let st, peak = run_tracked t.mgr ~seed c in
-                (st, peak, Some (Job.Expectation (Sim.expectation_z st qubit))))
-      in
-      (* Per-job deltas against the last job boundary; stats are read
-         before the dense payload, matching the pre-session evaluation
-         order exactly. *)
-      let values =
-        values ~peak
-          ~cs:(Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr))
-          st
-      in
-      let payload =
-        match (payload, job) with
-        | Some p, _ -> p
-        | None, Job.Full_state -> Job.State (Sim.to_vec st)
-        | None, Job.Amplitude k -> Job.Amplitude_of (Sim.amplitude st k)
-        | None, (Job.Sample _ | Job.Expectation_z _) -> assert false
-      in
-      (* Release the job's pinned root — including the final per-shot
-         state of a dynamic run — so the session's unique table is not
-         permanently inflated by finished jobs. *)
-      Sim.release st;
-      t.mark <- Pkg.cache_stats t.mgr;
-      Ok (payload, { stats with Backend.values })
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    let (st, peak, payload), stats =
+      Backend.timed ~name ~prefix:"dd" ?session:t.label job (fun () ->
+          match job with
+          | Job.Full_state | Job.Amplitude _ ->
+              let st, peak = run_tracked t.mgr ~seed:0 c in
+              (st, peak, None)
+          | Job.Sample { seed; shots } -> (
+              match Shot_engine.plan c with
+              | Shot_engine.Static_unitary ->
+                  let st, peak = run_tracked t.mgr ~seed c in
+                  (st, peak, Some (Job.Counts (Sim.sample ~seed:(seed + 1) st ~shots)))
+              | Shot_engine.Static_final { unitary; map } ->
+                  let st, peak = run_tracked t.mgr ~seed unitary in
+                  ( st,
+                    peak,
+                    Some
+                      (Job.Counts
+                         (Shot_engine.remap_counts ~map
+                            (Sim.sample ~seed:(seed + 1) st ~shots))) )
+              | Shot_engine.Dynamic ->
+                  let st, peak, counts = run_dynamic t.mgr ~seed ~shots c in
+                  (st, peak, Some (Job.Counts counts)))
+          | Job.Expectation_z { seed; qubit } ->
+              let st, peak = run_tracked t.mgr ~seed c in
+              (st, peak, Some (Job.Expectation (Sim.expectation_z st qubit))))
+    in
+    (* Per-job deltas against the last job boundary; stats are read
+       before the dense payload, matching the pre-session evaluation
+       order exactly. *)
+    let values =
+      values ~peak
+        ~cs:(Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr))
+        st
+    in
+    let payload =
+      match (payload, job) with
+      | Some p, _ -> p
+      | None, Job.Full_state -> Job.State (Sim.to_vec st)
+      | None, Job.Amplitude k -> Job.Amplitude_of (Sim.amplitude st k)
+      | None, (Job.Sample _ | Job.Expectation_z _) -> assert false
+    in
+    (* Release the job's pinned root — including the final per-shot
+       state of a dynamic run — so the session's unique table is not
+       permanently inflated by finished jobs. *)
+    Sim.release st;
+    t.mark <- Pkg.cache_stats t.mgr;
+    Ok (payload, { stats with Backend.values })
 end

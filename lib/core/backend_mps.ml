@@ -32,25 +32,23 @@ module Session = struct
   let run c = Mps.run (Decompose.lower ~basis:Decompose.Two_qubit c)
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = Backend.admit ~name ~caps:capabilities c job in
-      let (mps, payload), stats =
-        Backend.timed ~name ~prefix:"mps" ?session:t.label job (fun () ->
-            let mps = run c in
-            ( mps,
-              match job with
-              | Job.Full_state -> Job.State (Mps.to_vec mps)
-              | Job.Amplitude k -> Job.Amplitude_of (Mps.amplitude mps k)
-              | Job.Sample { seed; shots } -> Job.Counts (Mps.sample ~seed:(seed + 1) mps ~shots)
-              | Job.Expectation_z { seed = _; qubit } ->
-                  Job.Expectation (Mps.expectation_z mps qubit) ))
-      in
-      let values =
-        [
-          ("mps.max_bond_dim", float_of_int (Mps.max_bond_dim mps));
-          ("mps.truncation_error", Mps.truncation_error mps);
-        ]
-      in
-      Ok (payload, { stats with Backend.values })
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    let (mps, payload), stats =
+      Backend.timed ~name ~prefix:"mps" ?session:t.label job (fun () ->
+          let mps = run c in
+          ( mps,
+            match job with
+            | Job.Full_state -> Job.State (Mps.to_vec mps)
+            | Job.Amplitude k -> Job.Amplitude_of (Mps.amplitude mps k)
+            | Job.Sample { seed; shots } -> Job.Counts (Mps.sample ~seed:(seed + 1) mps ~shots)
+            | Job.Expectation_z { seed = _; qubit } ->
+                Job.Expectation (Mps.expectation_z mps qubit) ))
+    in
+    let values =
+      [
+        ("mps.max_bond_dim", float_of_int (Mps.max_bond_dim mps));
+        ("mps.truncation_error", Mps.truncation_error mps);
+      ]
+    in
+    Ok (payload, { stats with Backend.values })
 end

@@ -33,13 +33,6 @@ module Session = struct
   let create ?label () = { label; closed = false; tab = None }
   let close t = t.closed <- true
 
-  let admit c job =
-    let* () = Backend.admit ~name ~caps:capabilities c job in
-    if Tableau.supports c then Ok ()
-    else
-      Backend.unsupported ~backend:name ~operation:(Backend.operation_of_job job)
-        "circuit contains non-Clifford gates"
-
   let acquire t n =
     match t.tab with
     | Some tab when Tableau.num_qubits tab = n ->
@@ -50,74 +43,55 @@ module Session = struct
         t.tab <- Some tab;
         tab
 
-  (* Identical to [Tableau.run] except the tableau comes from [acquire],
-     so warm and cold sessions see the same RNG stream and outcomes. *)
+  (* [Tableau.run]'s walk on the tableau from [acquire], so warm and
+     cold sessions see the same RNG stream and outcomes. *)
   let run_in t ~seed c =
     let tab = acquire t (Circuit.num_qubits c) in
-    let rng = Random.State.make [| seed |] in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Tableau.apply_instruction tab instr ~rng ~clbits)
-      (Circuit.instructions c);
-    (tab, clbits)
+    ignore
+      (Circuit.execute c ~rng:(Random.State.make [| seed |]) (Tableau.apply_instruction tab));
+    tab
 
   (* One shot of a dynamic circuit on a fresh tableau. *)
   let run_shot c ~rng =
     let tab = Tableau.create (Circuit.num_qubits c) in
-    let clbits = Array.make (max 1 (Circuit.num_clbits c)) 0 in
-    List.iter
-      (fun instr -> Tableau.apply_instruction tab instr ~rng ~clbits)
-      (Circuit.instructions c);
-    let key =
-      if Circuit.has_measure c then Circuit.creg_value clbits
-      else begin
-        let key = ref 0 in
-        for q = 0 to Circuit.num_qubits c - 1 do
-          key := !key lor (Tableau.measure tab ~rng q lsl q)
-        done;
-        !key
-      end
-    in
-    (tab, key)
+    let clbits = Circuit.execute c ~rng (Tableau.apply_instruction tab) in
+    Shot_engine.shot_key c clbits ~measure:(Tableau.measure tab ~rng)
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = admit c job in
-      let (tab, payload), stats =
-        Backend.timed ~name ~prefix:"stabilizer" ?session:t.label job (fun () ->
-            match job with
-            | Job.Full_state | Job.Amplitude _ ->
-                (* declined by [admit]: tableaus have no amplitude access *)
-                assert false
-            | Job.Sample { seed; shots } -> (
-                match Shot_engine.plan c with
-                | Shot_engine.Static_unitary ->
-                    let tab, _clbits = run_in t ~seed c in
-                    (tab, Job.Counts (Tableau.sample ~seed:(seed + 1) tab ~shots))
-                | Shot_engine.Static_final { unitary; map } ->
-                    let tab, _clbits = run_in t ~seed unitary in
-                    ( tab,
-                      Job.Counts
-                        (Shot_engine.remap_counts ~map
-                           (Tableau.sample ~seed:(seed + 1) tab ~shots)) )
-                | Shot_engine.Dynamic ->
-                    (* [run_shot] builds a fresh tableau per shot — reentrant,
-                       so the shots parallelise across domains.  Stats only
-                       need the tableau footprint, which depends on the qubit
-                       count alone, so an [acquire]d tableau stands in for
-                       "the last shot's" (a cross-domain [last] ref would
-                       race). *)
-                    let counts =
-                      Shot_engine.sample_per_shot_parallel ~seed ~shots
-                        ~run_shot:(fun ~rng -> snd (run_shot c ~rng))
-                    in
-                    (acquire t (Circuit.num_qubits c), Job.Counts counts))
-            | Job.Expectation_z { seed; qubit } ->
-                let tab, _clbits = run_in t ~seed c in
-                (tab, Job.Expectation (Float.of_int (Tableau.expectation_z tab qubit))))
-      in
-      let bytes = Tableau.memory_bytes tab in
-      Qdt_obs.Watermark.observe_int w_tableau bytes;
-      Ok (payload, { stats with Backend.values = [ ("tableau_bytes", float_of_int bytes) ] })
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    let (tab, payload), stats =
+      Backend.timed ~name ~prefix:"stabilizer" ?session:t.label job (fun () ->
+          match job with
+          | Job.Full_state | Job.Amplitude _ ->
+              (* declined by [admit]: tableaus have no amplitude access *)
+              assert false
+          | Job.Sample { seed; shots } -> (
+              match Shot_engine.plan c with
+              | Shot_engine.Static_unitary ->
+                  let tab = run_in t ~seed c in
+                  (tab, Job.Counts (Tableau.sample ~seed:(seed + 1) tab ~shots))
+              | Shot_engine.Static_final { unitary; map } ->
+                  let tab = run_in t ~seed unitary in
+                  ( tab,
+                    Job.Counts
+                      (Shot_engine.remap_counts ~map
+                         (Tableau.sample ~seed:(seed + 1) tab ~shots)) )
+              | Shot_engine.Dynamic ->
+                  (* [run_shot] builds a fresh tableau per shot — reentrant,
+                     so the shots parallelise across domains.  Stats only
+                     need the tableau footprint, which depends on the qubit
+                     count alone, so an [acquire]d tableau stands in for
+                     "the last shot's" (a cross-domain [last] ref would
+                     race). *)
+                  let counts =
+                    Shot_engine.sample_per_shot_parallel ~seed ~shots ~run_shot:(run_shot c)
+                  in
+                  (acquire t (Circuit.num_qubits c), Job.Counts counts))
+          | Job.Expectation_z { seed; qubit } ->
+              let tab = run_in t ~seed c in
+              (tab, Job.Expectation (Float.of_int (Tableau.expectation_z tab qubit))))
+    in
+    let bytes = Tableau.memory_bytes tab in
+    Qdt_obs.Watermark.observe_int w_tableau bytes;
+    Ok (payload, { stats with Backend.values = [ ("tableau_bytes", float_of_int bytes) ] })
 end

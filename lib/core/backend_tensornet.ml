@@ -29,17 +29,15 @@ module Session = struct
   let close t = t.closed <- true
 
   let submit t c job =
-    if t.closed then Backend.session_closed ~backend:name job
-    else
-      let* () = Backend.admit ~name ~caps:capabilities c job in
-      Ok
-        (Backend.timed ~name ~prefix:"tn" ?session:t.label job (fun () ->
-             match job with
-             | Job.Full_state -> Job.State (fst (Tn.statevector (Tn.of_circuit c)))
-             | Job.Amplitude k -> Job.Amplitude_of (fst (Tn.amplitude (Tn.of_circuit c) k))
-             | Job.Sample _ ->
-                 (* declined by [admit]: contraction yields single quantities *)
-                 assert false
-             | Job.Expectation_z { seed = _; qubit } ->
-                 Job.Expectation (fst (Tn.expectation_z c qubit))))
+    let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
+    Ok
+      (Backend.timed ~name ~prefix:"tn" ?session:t.label job (fun () ->
+           match job with
+           | Job.Full_state -> Job.State (fst (Tn.statevector (Tn.of_circuit c)))
+           | Job.Amplitude k -> Job.Amplitude_of (fst (Tn.amplitude (Tn.of_circuit c) k))
+           | Job.Sample _ ->
+               (* declined by [admit]: contraction yields single quantities *)
+               assert false
+           | Job.Expectation_z { seed = _; qubit } ->
+               Job.Expectation (fst (Tn.expectation_z c qubit))))
 end

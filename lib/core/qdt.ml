@@ -35,7 +35,6 @@ let backend_name = function
   | Stabilizer_backend -> "stabilizer"
   | Auto_backend -> "auto"
 
-let all_backends = [ Arrays_backend; Decision_diagrams; Tensor_network; Mps ]
 
 (* Every variant is registered at startup by {!Registry}. *)
 let backend_module b : Backend.engine =

@@ -109,7 +109,6 @@ type backend =
           heuristics favour (see {!Auto}) *)
 
 val backend_name : backend -> string
-val all_backends : backend list
 
 (** [backend_module b] — the registered engine behind variant [b]. *)
 val backend_module : backend -> Backend.engine

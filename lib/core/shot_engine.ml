@@ -49,6 +49,18 @@ let remap_key ~map k =
       (key land lnot (1 lsl clbit)) lor (bit lsl clbit))
     0 map
 
+(* A dynamic shot's counts key: the classical register when the circuit
+   measures, else a terminal measurement of every qubit, qubit 0 first. *)
+let shot_key c clbits ~measure =
+  if Circuit.has_measure c then Circuit.creg_value clbits
+  else begin
+    let key = ref 0 in
+    for q = 0 to Circuit.num_qubits c - 1 do
+      key := !key lor (measure q lsl q)
+    done;
+    !key
+  end
+
 let sorted_counts tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

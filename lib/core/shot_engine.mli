@@ -20,6 +20,14 @@ val plan : Qdt_circuit.Circuit.t -> plan
     (later writes to the same clbit win).  Collisions are aggregated. *)
 val remap_counts : map:(int * int) list -> (int * int) list -> (int * int) list
 
+(** [shot_key c clbits ~measure] — the counts key of one dynamic shot
+    whose {!Qdt_circuit.Circuit.execute} returned [clbits]: the
+    classical register ({!Qdt_circuit.Circuit.creg_value}) when [c]
+    measures, else [measure q] on every qubit [q] in ascending order,
+    with qubit [q] as bit [q].  [measure] collapses one qubit of the
+    shot's final state. *)
+val shot_key : Qdt_circuit.Circuit.t -> int array -> measure:(int -> int) -> int
+
 (** [sample_per_shot ~seed ~shots ~run_shot] — the dynamic path: one
     seeded RNG stream shared across shots, [run_shot] executes one shot
     and returns its counts key.  Returns counts sorted by key, matching

@@ -94,11 +94,9 @@ let rec apply_instruction st instr ~rng ~clbits =
 
 let run ?(seed = 0) circuit =
   let st = init (Circuit.num_qubits circuit) in
-  let rng = Random.State.make [| seed |] in
-  let clbits = Array.make (max 1 (Circuit.num_clbits circuit)) 0 in
-  List.iter
-    (fun instr -> apply_instruction st instr ~rng ~clbits)
-    (Circuit.instructions circuit);
+  let clbits =
+    Circuit.execute circuit ~rng:(Random.State.make [| seed |]) (apply_instruction st)
+  in
   (st, clbits)
 
 let run_unitary circuit =

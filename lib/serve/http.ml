@@ -4,12 +4,9 @@
 type request = {
   meth : string;
   path : string;
-  query : string;
   headers : (string * string) list;
   body : string;
 }
-
-let header name req = List.assoc_opt name req.headers
 
 (* input_line-alike that requires CRLF-or-LF termination and
    distinguishes "peer closed before any byte" (None) from a torn line.
@@ -24,12 +21,11 @@ let read_line ic =
       if n > 0 && line.[n - 1] = '\r' then Some (String.sub line 0 (n - 1))
       else Some line
 
-let split_target target =
+(* The request target without its query string. *)
+let path_of_target target =
   match String.index_opt target '?' with
-  | None -> (target, "")
-  | Some i ->
-      ( String.sub target 0 i,
-        String.sub target (i + 1) (String.length target - i - 1) )
+  | None -> target
+  | Some i -> String.sub target 0 i
 
 let read_headers ic =
   let rec go acc n =
@@ -70,7 +66,7 @@ let read_request ~max_body_bytes ic =
           match read_headers ic with
           | Error e -> Error e
           | Ok headers -> (
-              let path, query = split_target target in
+              let path = path_of_target target in
               let content_length =
                 match List.assoc_opt "content-length" headers with
                 | None -> Ok 0
@@ -92,7 +88,6 @@ let read_request ~max_body_bytes ic =
                            {
                              meth = String.uppercase_ascii meth;
                              path;
-                             query;
                              headers;
                              body;
                            })

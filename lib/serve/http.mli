@@ -6,13 +6,9 @@
 type request = {
   meth : string;  (** uppercase, e.g. ["GET"] *)
   path : string;  (** path without the query string *)
-  query : string;  (** raw query string ([""] when absent) *)
   headers : (string * string) list;  (** names lowercased *)
   body : string;
 }
-
-(** [header name req] — first header named [name] (give it lowercased). *)
-val header : string -> request -> string option
 
 (** [read_request ~max_body_bytes ic] — the next request on a keep-alive
     connection.  [Ok None] when the peer closed (or went idle past the

@@ -11,7 +11,6 @@ type job_request = {
   job : Qdt.Job.t;
   session : string option;
   timeout_ms : int option;
-  delay_ms : int;
 }
 
 let ( let* ) = Result.bind
@@ -89,8 +88,7 @@ let job_request_of_string body =
             if t <= 0 then Error "field \"timeout_ms\": must be positive"
             else Ok (Some t)
       in
-      let* delay_ms = int_field ~default:0 obj "delay_ms" in
-      Ok { qasm; backend; job; session; timeout_ms; delay_ms }
+      Ok { qasm; backend; job; session; timeout_ms }
   | Ok _ -> Error "expected a JSON object"
 
 let circuit_of req =

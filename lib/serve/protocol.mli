@@ -7,14 +7,11 @@
       "job":        { "kind": "sample",               // default full_state
                       "seed": 0, "shots": 100 },
       "session":    "alice",                          // optional warm session
-      "timeout_ms": 2000,                             // per-job override
-      "delay_ms":   0 }                               // test knob: worker
-                                                      // sleeps before running
+      "timeout_ms": 2000 }                            // per-job override
     v}
     Job kinds mirror {!Qdt.Job.t}: [full_state], [amplitude] (field
     [index]), [sample] (fields [seed], [shots]), [expectation_z] (fields
-    [seed], [qubit]).  [delay_ms] exists so tests and the load generator
-    can provoke queueing, backpressure, and timeouts deterministically.
+    [seed], [qubit]).  Any other field is ignored.
 
     Responses are one JSON object per job: [{"ok": true, ...}] with the
     result payload, per-job stats, and queue-wait/run timings — or
@@ -26,7 +23,6 @@ type job_request = {
   job : Qdt.Job.t;
   session : string option;
   timeout_ms : int option;
-  delay_ms : int;
 }
 
 (** Parse a request body.  The error string is user-facing (it goes into

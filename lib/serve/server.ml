@@ -33,7 +33,6 @@ type config = {
   queue_depth : int;
   default_timeout_ms : int;
   max_sessions : int;
-  max_body_bytes : int;
   access_log : string option;
 }
 
@@ -45,9 +44,11 @@ let default_config =
     queue_depth = 64;
     default_timeout_ms = 30_000;
     max_sessions = 32;
-    max_body_bytes = 4 * 1024 * 1024;
     access_log = None;
   }
+
+(* Largest request body a connection may send. *)
+let max_body_bytes = 4 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
 (* Instruments (created once; label sets are small and closed)         *)
@@ -154,8 +155,8 @@ let run_job t (k : ticket) =
   try
     match req.Protocol.session with
     | Some name ->
-        Session_pool.submit t.pool ~session:name ~backend:req.Protocol.backend
-          k.t_circuit req.Protocol.job
+        Session_pool.submit t.pool ~session:name ~engine:k.t_engine k.t_circuit
+          req.Protocol.job
     | None -> Ok (Qdt.Backend.run_once k.t_engine k.t_circuit req.Protocol.job)
   with exn ->
     (* A raising engine is a bug, but it must cost this job only. *)
@@ -183,33 +184,20 @@ let execute t (k : ticket) =
     Metrics.observe h_queue_wait k.queue_wait_ns;
     Atomic.incr t.inflight;
     Metrics.set g_inflight (float_of_int (Atomic.get t.inflight));
-    if k.t_req.Protocol.delay_ms > 0 then
-      Unix.sleepf (float_of_int k.t_req.Protocol.delay_ms /. 1000.0);
-    (* The deliberate delay is where timeout tests park a job; skip the
-       actual run when the handler has already given up. *)
-    let abandoned_during_delay =
-      Mutex.lock k.tmu;
-      let a = k.state <> Running in
-      Mutex.unlock k.tmu;
-      a
-    in
     let t0 = Clock.now_ns () in
-    let outcome = if abandoned_during_delay then None else Some (run_job t k) in
+    let outcome = run_job t k in
     let run_ns = Clock.now_ns () - t0 in
     Atomic.decr t.inflight;
     Metrics.set g_inflight (float_of_int (Atomic.get t.inflight));
-    match outcome with
-    | None -> ()
-    | Some oc ->
-        Metrics.observe h_run run_ns;
-        Mutex.lock k.tmu;
-        k.run_ns <- run_ns;
-        k.outcome <- Some oc;
-        if k.state = Running then begin
-          k.state <- Done;
-          signal k 'D'
-        end;
-        Mutex.unlock k.tmu
+    Metrics.observe h_run run_ns;
+    Mutex.lock k.tmu;
+    k.run_ns <- run_ns;
+    k.outcome <- Some outcome;
+    if k.state = Running then begin
+      k.state <- Done;
+      signal k 'D'
+    end;
+    Mutex.unlock k.tmu
   end
 
 let rec worker_loop t =
@@ -271,13 +259,8 @@ let wait_byte k ~deadline =
 
 let reply_of_outcome k = function
   | Error pool_err ->
-      let status, typ =
-        match pool_err with
-        | Session_pool.Unknown_backend _ -> (400, "unknown_backend")
-        | Session_pool.Backend_mismatch _ -> (409, "session_backend_mismatch")
-      in
-      reply status "error" ~queue_wait_ns:k.queue_wait_ns ~run_ns:k.run_ns
-        (Protocol.error_body ~typ
+      reply 409 "error" ~queue_wait_ns:k.queue_wait_ns ~run_ns:k.run_ns
+        (Protocol.error_body ~typ:"session_backend_mismatch"
            ~message:(Session_pool.error_message pool_err)
            [])
   | Ok (Error (be : Qdt.Backend.error)) ->
@@ -295,20 +278,20 @@ let reply_of_outcome k = function
            ~queue_wait_ns:k.queue_wait_ns ~run_ns:k.run_ns)
 
 let submit_and_await t (req : Protocol.job_request) circuit =
-  (* Cheap rejections stay out of the queue: an unknown backend answers
-     immediately instead of wasting a worker dequeue. *)
+  (* The one place a job's backend name is resolved.  Cheap rejections
+     stay out of the queue: an unknown backend answers immediately
+     instead of wasting a worker dequeue. *)
   match Qdt.Registry.find_session req.Protocol.backend with
   | None ->
+      let requested = req.Protocol.backend in
       let r =
         reply 400 "error"
           (Protocol.error_body ~typ:"unknown_backend"
              ~message:
-               (Session_pool.error_message
-                  (Session_pool.Unknown_backend
-                     {
-                       requested = req.Protocol.backend;
-                       suggestion = Qdt.Registry.suggest req.Protocol.backend;
-                     }))
+               (Printf.sprintf "unknown backend %S%s" requested
+                  (match Qdt.Registry.suggest requested with
+                  | Some s -> Printf.sprintf " (did you mean %S?)" s
+                  | None -> ""))
              [])
       in
       count_job "error";
@@ -590,7 +573,7 @@ let handle_connection t fd peer =
   let rec loop () =
     if Atomic.get t.stopping then ()
     else
-      match Http.read_request ~max_body_bytes:t.cfg.max_body_bytes ic with
+      match Http.read_request ~max_body_bytes ic with
       | Ok None -> ()
       | Error msg ->
           (* Best-effort error response, then drop the connection: after

@@ -27,7 +27,6 @@ type config = {
   queue_depth : int;  (** queued jobs beyond which submits get 429 *)
   default_timeout_ms : int;  (** per-job wall-clock budget *)
   max_sessions : int;  (** warm-session cap (LRU eviction past it) *)
-  max_body_bytes : int;
   access_log : string option;  (** JSONL access log path *)
 }
 

@@ -28,18 +28,10 @@ type t = {
 }
 
 type error =
-  | Unknown_backend of { requested : string; suggestion : string option }
   | Backend_mismatch of { session : string; existing : string; requested : string }
 
-let error_message = function
-  | Unknown_backend { requested; suggestion } -> (
-      Printf.sprintf "unknown backend %S%s" requested
-        (match suggestion with
-        | Some s -> Printf.sprintf " (did you mean %S?)" s
-        | None -> ""))
-  | Backend_mismatch { session; existing; requested } ->
-      Printf.sprintf "session %S is open on backend %S, not %S" session
-        existing requested
+let error_message (Backend_mismatch { session; existing; requested }) =
+  Printf.sprintf "session %S is open on backend %S, not %S" session existing requested
 
 let locked t f =
   Mutex.lock t.mu;
@@ -81,51 +73,41 @@ let lru_victim t =
       | _ -> Some (name, e))
     t.table None
 
-let fresh_engine backend =
-  match Qdt.Registry.find_session backend with
-  | None ->
-      Error
-        (Unknown_backend
-           { requested = backend; suggestion = Qdt.Registry.suggest backend })
-  | Some (module S : Qdt.Backend.SESSION) ->
-      let s = S.create ~label:(Qdt.Backend.fresh_session_label ()) () in
-      Ok (Packed ((module S), s))
-
 (* Find-or-create the entry; returns the evicted entry (to close outside
    the pool lock) alongside it. *)
-let entry_for t ~session ~backend =
+let entry_for t ~session ~engine:(module S : Qdt.Backend.SESSION) =
   locked t @@ fun () ->
   t.clock <- t.clock + 1;
   match Hashtbl.find_opt t.table session with
-  | Some e when e.backend = backend ->
+  | Some e when e.backend = S.name ->
       e.last_used <- t.clock;
       Ok (e, None)
   | Some e ->
       Error
         (Backend_mismatch
-           { session; existing = e.backend; requested = backend })
-  | None -> (
-      match fresh_engine backend with
-      | Error e -> Error e
-      | Ok packed ->
-          let e =
-            { backend; packed; emu = Mutex.create (); last_used = t.clock }
-          in
-          let evicted =
-            if Hashtbl.length t.table >= t.max_sessions then
-              match lru_victim t with
-              | Some (vname, ve) ->
-                  Hashtbl.remove t.table vname;
-                  Some ve
-              | None -> None
-            else None
-          in
-          Hashtbl.replace t.table session e;
-          set_gauge t;
-          Ok (e, evicted))
+           { session; existing = e.backend; requested = S.name })
+  | None ->
+      let packed =
+        Packed ((module S), S.create ~label:(Qdt.Backend.fresh_session_label ()) ())
+      in
+      let e =
+        { backend = S.name; packed; emu = Mutex.create (); last_used = t.clock }
+      in
+      let evicted =
+        if Hashtbl.length t.table >= t.max_sessions then
+          match lru_victim t with
+          | Some (vname, ve) ->
+              Hashtbl.remove t.table vname;
+              Some ve
+          | None -> None
+        else None
+      in
+      Hashtbl.replace t.table session e;
+      set_gauge t;
+      Ok (e, evicted)
 
-let submit t ~session ~backend c job =
-  match entry_for t ~session ~backend with
+let submit t ~session ~engine c job =
+  match entry_for t ~session ~engine with
   | Error e -> Error e
   | Ok (e, evicted) ->
       Option.iter close_entry evicted;

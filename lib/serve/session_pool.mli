@@ -1,7 +1,7 @@
 (** Named warm sessions behind the server: maps a client-chosen session
     name to a persistent {!Qdt.Backend.SESSION} engine, so repeat
     submissions from one client hit the warm unique tables, compute
-    caches, and buffers of PR 9's session layer.
+    caches, and buffers of the session layer.
 
     Engines are not domain-safe, so the pool serialises submits per
     entry with a mutex — two server workers submitting to the same
@@ -14,7 +14,6 @@
 type t
 
 type error =
-  | Unknown_backend of { requested : string; suggestion : string option }
   | Backend_mismatch of { session : string; existing : string; requested : string }
       (** the named session is already open on a different backend *)
 
@@ -25,14 +24,16 @@ val create : max_sessions:int -> t
 (** Open sessions right now. *)
 val size : t -> int
 
-(** [submit t ~session ~backend c job] — run [job] on the named warm
-    session, creating the session (on [backend]) on first use.  The
-    inner result is the engine's own outcome — including the typed
-    session-closed error when a concurrent {!close} won the race. *)
+(** [submit t ~session ~engine c job] — run [job] on the named warm
+    session, creating the session (a fresh [engine] session) on first
+    use.  [engine] is the one the caller resolved from the registry;
+    the pool never looks a backend name up itself.  The inner result is
+    the engine's own outcome — including the typed session-closed error
+    when a concurrent {!close} won the race. *)
 val submit :
   t ->
   session:string ->
-  backend:string ->
+  engine:Qdt.Backend.engine ->
   Qdt_circuit.Circuit.t ->
   Qdt.Job.t ->
   (Qdt.Job.result Qdt.Backend.outcome, error) result

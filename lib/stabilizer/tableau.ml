@@ -250,11 +250,9 @@ let supports circuit =
 
 let run ?(seed = 0) circuit =
   let t = create (Circuit.num_qubits circuit) in
-  let rng = Random.State.make [| seed |] in
-  let clbits = Array.make (max 1 (Circuit.num_clbits circuit)) 0 in
-  List.iter
-    (fun instr -> apply_instruction t instr ~rng ~clbits)
-    (Circuit.instructions circuit);
+  let clbits =
+    Circuit.execute circuit ~rng:(Random.State.make [| seed |]) (apply_instruction t)
+  in
   (t, clbits)
 
 let sample ?(seed = 0) t ~shots =

@@ -127,9 +127,6 @@ let simulation ?(seed = 0) ?(trials = 8) c1 c2 =
   Qdt_obs.Trace.with_span "verify.simulation" @@ fun () ->
   require_same_arity c1 c2;
   let n = Circuit.num_qubits c1 in
-  (* One classical register slot per declared clbit — a single shared slot
-     would alias measurements beyond clbit 0. *)
-  let num_clbits = max (Circuit.num_clbits c1) (Circuit.num_clbits c2) in
   let rng = Random.State.make [| seed |] in
   let mismatch = ref false in
   let trial t =
@@ -141,11 +138,9 @@ let simulation ?(seed = 0) ?(trials = 8) c1 c2 =
     let mgr = Qdt_dd.Pkg.create () in
     let run c =
       let st = Qdt_dd.Sim.make mgr n in
-      let rng' = Random.State.make [| 0 |] in
-      let clbits = Array.make (max 1 num_clbits) 0 in
-      List.iter
-        (fun instr -> Qdt_dd.Sim.apply_instruction st instr ~rng:rng' ~clbits)
-        (Circuit.instructions (Circuit.append prep c));
+      ignore
+        (Circuit.execute (Circuit.append prep c) ~rng:(Random.State.make [| 0 |])
+           (Qdt_dd.Sim.apply_instruction st));
       st
     in
     let s1 = run c1 and s2 = run c2 in

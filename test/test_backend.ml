@@ -115,6 +115,54 @@ let test_shared_guard () =
       declines "<Z_-1>" ghz5 (Job.Expectation_z { seed = 0; qubit = -1 }))
     (Registry.all ())
 
+(* Engines decline nothing on their own: over circuits that cross every
+   capability axis (Clifford or not, measured or not, dynamic or not)
+   and all four job kinds, [submit] declines exactly when the guard
+   does, with the guard's error — on a live session, then on a closed
+   one. *)
+let test_declines_come_from_guard () =
+  let circuits =
+    [
+      ("ghz", Generators.ghz 3);
+      ("clifford+t", Generators.random_clifford_t ~seed:2 ~gates:30 ~t_fraction:0.3 3);
+      ("measured ghz", Circuit.measure_all (Generators.ghz 3));
+      ("teleportation", Generators.teleportation ());
+    ]
+  in
+  let jobs =
+    [
+      Job.Full_state;
+      Job.Amplitude 1;
+      Job.Sample { seed = 0; shots = 20 };
+      Job.Expectation_z { seed = 0; qubit = 0 };
+    ]
+  in
+  List.iter
+    (fun (module S : Backend.SESSION) ->
+      let s = S.create () in
+      let check ~closed (cname, c) job =
+        let what =
+          Printf.sprintf "%s %s %s%s" S.name cname (Job.describe job)
+            (if closed then " (closed)" else "")
+        in
+        match
+          (S.submit s c job, Backend.admit ~closed ~name:S.name ~caps:S.capabilities c job)
+        with
+        | Ok _, Ok () -> ()
+        | Error e, Error g ->
+            Alcotest.(check string) what (Backend.error_to_string g)
+              (Backend.error_to_string e)
+        | Ok _, Error g -> Alcotest.failf "%s: the guard declines (%s) but submit ran" what g.reason
+        | Error e, Ok () -> Alcotest.failf "%s: the guard admits but submit declines (%s)" what e.reason
+      in
+      let check_all ~closed =
+        List.iter (fun c -> List.iter (check ~closed c) jobs) circuits
+      in
+      check_all ~closed:false;
+      S.close s;
+      check_all ~closed:true)
+    (Registry.all ())
+
 (* ------------------------------------------------------------------ *)
 (* Auto dispatcher routing                                             *)
 (* ------------------------------------------------------------------ *)
@@ -277,7 +325,12 @@ let () =
           Alcotest.test_case "capabilities" `Quick test_capability_queries;
         ] );
       ("errors", [ Alcotest.test_case "typed unsupported" `Quick test_typed_errors ]);
-      ("guard", [ Alcotest.test_case "every engine" `Quick test_shared_guard ]);
+      ( "guard",
+        [
+          Alcotest.test_case "every engine" `Quick test_shared_guard;
+          Alcotest.test_case "every decline comes from the guard" `Quick
+            test_declines_come_from_guard;
+        ] );
       ( "auto",
         [
           Alcotest.test_case "routing" `Quick test_auto_routing;

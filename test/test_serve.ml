@@ -49,6 +49,48 @@ let job_body ?(backend = "decision-diagrams") ?session ?delay_ms ?timeout_ms
 
 let sample_job = "{\"kind\": \"sample\", \"seed\": 1, \"shots\": 50}"
 
+(* A test-only engine that holds a worker on demand: its [Amplitude k]
+   job sleeps [k] ms, and the shared guard declines every other kind.
+   It is registered like any engine, so the server resolves it by name
+   and the all-backends session races below cover it too. *)
+module Slow_engine = struct
+  let name = "test-slow"
+
+  let capabilities =
+    {
+      Qdt.Backend.full_state = false;
+      amplitude = true;
+      sample = false;
+      expectation_z = false;
+      supports_nonunitary = false;
+      clifford_only = false;
+      max_qubits = None;
+      dynamic = false;
+    }
+
+  type t = { mutable closed : bool }
+
+  let create ?label:_ () = { closed = false }
+  let close t = t.closed <- true
+
+  let submit t c job =
+    match Qdt.Backend.admit ~closed:t.closed ~name ~caps:capabilities c job with
+    | Error e -> Error e
+    | Ok () ->
+        let ms = match job with Qdt.Job.Amplitude k -> k | _ -> 0 in
+        Unix.sleepf (float_of_int ms /. 1000.0);
+        Ok
+          ( Qdt.Job.Amplitude_of Qdt_linalg.Cx.zero,
+            { Qdt.Backend.backend = name; wall_s = 0.0; note = None; values = [] } )
+end
+
+let () = Qdt.Registry.register (module Slow_engine)
+
+(* A job that holds its worker for [ms] milliseconds ([ms] < 1024). *)
+let slow_job_body ~ms ~timeout_ms =
+  job_body ~backend:Slow_engine.name ~qasm:(ghz 10) ~timeout_ms
+    (Printf.sprintf "{\"kind\": \"amplitude\", \"index\": %d}" ms)
+
 (* ------------------------------------------------------------------ *)
 (* Basic endpoints                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -285,9 +327,7 @@ let test_access_log_and_spans () =
 let test_timeout_then_recovery () =
   with_server @@ fun t ->
   with_client t @@ fun c ->
-  let slow =
-    job_body ~qasm:(ghz 3) ~delay_ms:500 ~timeout_ms:60 sample_job
-  in
+  let slow = slow_job_body ~ms:500 ~timeout_ms:60 in
   let status, body = ok_or_fail "slow job" (Client.post c ~path:"/v1/jobs" ~body:slow) in
   Alcotest.(check int) "timeout status" 504 status;
   (match
@@ -308,7 +348,7 @@ let test_backpressure () =
   with_server
     ~cfg:{ Server.default_config with Server.workers = 1; queue_depth = 1 }
   @@ fun t ->
-  (* Saturate: one job running (delayed), one queued, the rest must be
+  (* Saturate: one job running (slow), one queued, the rest must be
      rejected with 429 + Retry-After. *)
   let port = Server.port t in
   let results = Array.make 5 (0, false) in
@@ -317,9 +357,7 @@ let test_backpressure () =
         Thread.create
           (fun () ->
             let c = Client.connect ~host:"127.0.0.1" ~port in
-            let body =
-              job_body ~qasm:(ghz 2) ~delay_ms:300 ~timeout_ms:5000 sample_job
-            in
+            let body = slow_job_body ~ms:300 ~timeout_ms:5000 in
             (match Client.request c ~meth:"POST" ~path:"/v1/jobs" ~body () with
             | Ok (status, headers, _) ->
                 results.(i) <-
@@ -338,6 +376,15 @@ let test_backpressure () =
     (fun (st, ra) ->
       if st = 429 && not ra then Alcotest.fail "429 without Retry-After")
     results
+
+(* [delay_ms] is not part of the protocol: like any unknown field it is
+   ignored, so no client can park a worker by asking for a sleep. *)
+let test_stray_delay_ignored () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  let body = job_body ~qasm:(ghz 3) ~delay_ms:3000 ~timeout_ms:1000 sample_job in
+  let status, _ = ok_or_fail "job" (Client.post c ~path:"/v1/jobs" ~body) in
+  Alcotest.(check int) "delay_ms does not hold the worker" 200 status
 
 let test_batch () =
   with_server @@ fun t ->
@@ -410,16 +457,14 @@ let test_parallel_submits_one_session () =
   List.iter
     (fun name ->
       let pool = Session_pool.create ~max_sessions:8 in
+      let engine = Option.get (Qdt.Registry.find_session name) in
       let job = job_for name in
       let errors = Atomic.make 0 and ok = Atomic.make 0 in
       let domains =
         List.init 4 (fun _ ->
             Domain.spawn (fun () ->
                 for _ = 1 to 5 do
-                  match
-                    Session_pool.submit pool ~session:"shared" ~backend:name
-                      bell job
-                  with
+                  match Session_pool.submit pool ~session:"shared" ~engine bell job with
                   | Ok (Ok _) -> Atomic.incr ok
                   | Ok (Error _) | Error _ -> Atomic.incr errors
                 done))
@@ -441,6 +486,7 @@ let test_submit_close_races () =
   List.iter
     (fun name ->
       let pool = Session_pool.create ~max_sessions:8 in
+      let engine = Option.get (Qdt.Registry.find_session name) in
       let job = job_for name in
       let stop = Atomic.make false in
       let outcomes = Atomic.make 0 in
@@ -448,10 +494,7 @@ let test_submit_close_races () =
         List.init 2 (fun _ ->
             Domain.spawn (fun () ->
                 while not (Atomic.get stop) do
-                  match
-                    Session_pool.submit pool ~session:"racy" ~backend:name bell
-                      job
-                  with
+                  match Session_pool.submit pool ~session:"racy" ~engine bell job with
                   | Ok (Ok _) | Ok (Error _) -> Atomic.incr outcomes
                   | Error e ->
                       Alcotest.failf "%s: pool error %s" name
@@ -500,6 +543,8 @@ let () =
           Alcotest.test_case "timeout then recovery" `Quick
             test_timeout_then_recovery;
           Alcotest.test_case "backpressure 429" `Quick test_backpressure;
+          Alcotest.test_case "stray delay_ms ignored" `Quick
+            test_stray_delay_ignored;
         ] );
       ( "sessions",
         [
