@@ -52,12 +52,44 @@ let counted name =
   | Some (Qdt.Obs.Metrics.Counter_v n) -> n
   | _ -> 0
 
+let read_trimmed path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Some (String.trim s)
+  | exception Sys_error _ -> None
+
+(* The commit of the git checkout the bench runs in, read from .git
+   without running git; "none" outside a checkout. *)
+let git_commit () =
+  match read_trimmed ".git/HEAD" with
+  | Some head when String.starts_with ~prefix:"ref: " head -> (
+      let r = String.sub head 5 (String.length head - 5) in
+      match read_trimmed (Filename.concat ".git" r) with
+      | Some c -> c
+      | None -> (
+          match read_trimmed ".git/packed-refs" with
+          | Some packed ->
+              List.fold_left
+                (fun acc line ->
+                  match String.split_on_char ' ' line with
+                  | [ c; name ] when name = r -> c
+                  | _ -> acc)
+                "none" (String.split_on_char '\n' packed)
+          | None -> "none"))
+  | Some c -> c
+  | None -> "none"
+
 let write_json ~experiment ~smoke ~report =
   let file = Printf.sprintf "BENCH_%s.json" experiment in
   let oc = open_out file in
   let field (k, v) = Printf.sprintf "    \"%s\": %s" (Qdt.Obs.Json.escape k) v in
   let obj entries = String.concat ",\n" (List.map field entries) in
   Printf.fprintf oc "{\n  \"experiment\": \"%s\",\n  \"smoke\": %b,\n" (Qdt.Obs.Json.escape experiment) smoke;
+  (* Where the numbers come from: a result is comparable only with one
+     from the same cores, compiler and commit. *)
+  Printf.fprintf oc "  \"stamp\": {\"cores\": %d, \"ocaml\": %s, \"commit\": %s},\n"
+    (Domain.recommended_domain_count ())
+    (Qdt.Obs.Json.string Sys.ocaml_version)
+    (Qdt.Obs.Json.string (git_commit ()));
   Printf.fprintf oc "  \"timings_ns\": {\n%s\n  },\n"
     (obj (List.rev_map (fun (k, s) -> (k, Stats.summary_to_json s)) !json_timings));
   Printf.fprintf oc "  \"metrics\": {\n%s\n  },\n" (obj (List.rev !json_metrics));
@@ -1233,6 +1265,7 @@ let e20 ~smoke () =
     ]
   in
   Printf.printf "recommended domain count: %d\n" cores;
+  if cores < 2 then print_endline "one core: no speedup ratio is recorded as a scaling claim";
   Printf.printf "%16s | %12s | %12s | %12s | %8s | %8s\n" "workload" "jobs=1 (ms)"
     "jobs=2 (ms)" "jobs=4 (ms)" "x @2" "x @4";
   let speedups = ref [] in
@@ -1243,7 +1276,9 @@ let e20 ~smoke () =
       List.iter
         (fun (j, t) ->
           metric_float (Printf.sprintf "%s.jobs%d_wall_ms" wname j) (t /. 1e6);
-          if j > 1 then
+          (* One core cannot speed anything up: a ratio there measures
+             pool overhead, so it is not recorded as a scaling claim. *)
+          if j > 1 && cores >= 2 then
             metric_float (Printf.sprintf "%s.speedup%d" wname j) (t1 /. t))
         times;
       let t2 = List.assoc 2 times and t4 = List.assoc 4 times in

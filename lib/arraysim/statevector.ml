@@ -186,7 +186,10 @@ let apply_matrix sv m ~controls ~target =
 (* Fused two-qubit kernel: one pass applying a dense 4x4 to every
    (q0, q1) amplitude quadruple.  Matrix index convention matches
    {!Unitary_builder.instruction_matrix} on 2 qubits: bit 0 of the matrix
-   index is qubit [q0], bit 1 is qubit [q1]. *)
+   index is qubit [q0], bit 1 is qubit [q1].  Entry (j, l) is read into
+   the locals [mjlr]/[mjli] once per chunk and every row sum is written
+   out inline, so no closure captures an amplitude and the loop
+   allocates nothing per quadruple. *)
 let apply_matrix2 sv m ~controls ~q0 ~q1 =
   if Mat.rows m <> 4 || Mat.cols m <> 4 then
     invalid_arg "Statevector.apply_matrix2: need a 4x4 matrix";
@@ -198,6 +201,14 @@ let apply_matrix2 sv m ~controls ~q0 ~q1 =
   let buf = sv.buf in
   let size = 1 lsl sv.n in
   Qdt_par.parallel_for ~chunk:par_chunk 0 size (fun lo hi ->
+      let m00r = mb.(0) and m00i = mb.(1) and m01r = mb.(2) and m01i = mb.(3) in
+      let m02r = mb.(4) and m02i = mb.(5) and m03r = mb.(6) and m03i = mb.(7) in
+      let m10r = mb.(8) and m10i = mb.(9) and m11r = mb.(10) and m11i = mb.(11) in
+      let m12r = mb.(12) and m12i = mb.(13) and m13r = mb.(14) and m13i = mb.(15) in
+      let m20r = mb.(16) and m20i = mb.(17) and m21r = mb.(18) and m21i = mb.(19) in
+      let m22r = mb.(20) and m22i = mb.(21) and m23r = mb.(22) and m23i = mb.(23) in
+      let m30r = mb.(24) and m30i = mb.(25) and m31r = mb.(26) and m31i = mb.(27) in
+      let m32r = mb.(28) and m32i = mb.(29) and m33r = mb.(30) and m33i = mb.(31) in
       for k = lo to hi - 1 do
         if k land pair_mask = 0 && k land cmask = cmask then begin
           let o0 = 2 * k
@@ -208,27 +219,46 @@ let apply_matrix2 sv m ~controls ~q0 ~q1 =
           let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
           let a2r = buf.(o2) and a2i = buf.(o2 + 1) in
           let a3r = buf.(o3) and a3i = buf.(o3 + 1) in
-          let row_re j =
-            let b = 8 * j in
-            (mb.(b) *. a0r) -. (mb.(b + 1) *. a0i)
-            +. ((mb.(b + 2) *. a1r) -. (mb.(b + 3) *. a1i))
-            +. ((mb.(b + 4) *. a2r) -. (mb.(b + 5) *. a2i))
-            +. ((mb.(b + 6) *. a3r) -. (mb.(b + 7) *. a3i))
-          and row_im j =
-            let b = 8 * j in
-            (mb.(b) *. a0i) +. (mb.(b + 1) *. a0r)
-            +. ((mb.(b + 2) *. a1i) +. (mb.(b + 3) *. a1r))
-            +. ((mb.(b + 4) *. a2i) +. (mb.(b + 5) *. a2r))
-            +. ((mb.(b + 6) *. a3i) +. (mb.(b + 7) *. a3r))
-          in
-          buf.(o0) <- row_re 0;
-          buf.(o0 + 1) <- row_im 0;
-          buf.(o1) <- row_re 1;
-          buf.(o1 + 1) <- row_im 1;
-          buf.(o2) <- row_re 2;
-          buf.(o2 + 1) <- row_im 2;
-          buf.(o3) <- row_re 3;
-          buf.(o3 + 1) <- row_im 3
+          buf.(o0) <-
+            (m00r *. a0r) -. (m00i *. a0i)
+            +. ((m01r *. a1r) -. (m01i *. a1i))
+            +. ((m02r *. a2r) -. (m02i *. a2i))
+            +. ((m03r *. a3r) -. (m03i *. a3i));
+          buf.(o0 + 1) <-
+            (m00r *. a0i) +. (m00i *. a0r)
+            +. ((m01r *. a1i) +. (m01i *. a1r))
+            +. ((m02r *. a2i) +. (m02i *. a2r))
+            +. ((m03r *. a3i) +. (m03i *. a3r));
+          buf.(o1) <-
+            (m10r *. a0r) -. (m10i *. a0i)
+            +. ((m11r *. a1r) -. (m11i *. a1i))
+            +. ((m12r *. a2r) -. (m12i *. a2i))
+            +. ((m13r *. a3r) -. (m13i *. a3i));
+          buf.(o1 + 1) <-
+            (m10r *. a0i) +. (m10i *. a0r)
+            +. ((m11r *. a1i) +. (m11i *. a1r))
+            +. ((m12r *. a2i) +. (m12i *. a2r))
+            +. ((m13r *. a3i) +. (m13i *. a3r));
+          buf.(o2) <-
+            (m20r *. a0r) -. (m20i *. a0i)
+            +. ((m21r *. a1r) -. (m21i *. a1i))
+            +. ((m22r *. a2r) -. (m22i *. a2i))
+            +. ((m23r *. a3r) -. (m23i *. a3i));
+          buf.(o2 + 1) <-
+            (m20r *. a0i) +. (m20i *. a0r)
+            +. ((m21r *. a1i) +. (m21i *. a1r))
+            +. ((m22r *. a2i) +. (m22i *. a2r))
+            +. ((m23r *. a3i) +. (m23i *. a3r));
+          buf.(o3) <-
+            (m30r *. a0r) -. (m30i *. a0i)
+            +. ((m31r *. a1r) -. (m31i *. a1i))
+            +. ((m32r *. a2r) -. (m32i *. a2i))
+            +. ((m33r *. a3r) -. (m33i *. a3i));
+          buf.(o3 + 1) <-
+            (m30r *. a0i) +. (m30i *. a0r)
+            +. ((m31r *. a1i) +. (m31i *. a1r))
+            +. ((m32r *. a2i) +. (m32i *. a2r))
+            +. ((m33r *. a3i) +. (m33i *. a3r))
         end
       done)
 
@@ -382,24 +412,28 @@ let sample ?(seed = 0) sv ~shots =
   let rng = Random.State.make [| seed |] in
   let dim = 1 lsl sv.n in
   (* The probability table lives in the reusable scratch buffer — repeated
-     sampling allocates nothing beyond the counts table. *)
-  let probs = scratch_floats sv dim in
-  probabilities_into sv probs;
+     sampling allocates nothing beyond the counts table.  It becomes its
+     running sum in place, added in index order exactly as a linear scan
+     adds it, so the first entry >= r found by bisection is the outcome
+     the scan would pick (dim - 1 when no entry reaches r). *)
+  let cdf = scratch_floats sv dim in
+  probabilities_into sv cdf;
+  let acc = ref 0.0 in
+  for k = 0 to dim - 1 do
+    acc := !acc +. cdf.(k);
+    cdf.(k) <- !acc
+  done;
   let counts = Hashtbl.create 64 in
   for _shot = 1 to shots do
     let r = Random.State.float rng 1.0 in
-    let acc = ref 0.0 and chosen = ref (dim - 1) and k = ref 0 in
-    let continue = ref true in
-    while !continue && !k < dim do
-      acc := !acc +. probs.(!k);
-      if !acc >= r then begin
-        chosen := !k;
-        continue := false
-      end;
-      incr k
+    let lo = ref 0 and hi = ref dim in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if cdf.(mid) >= r then hi := mid else lo := mid + 1
     done;
-    Hashtbl.replace counts !chosen
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts !chosen))
+    let chosen = if !lo = dim then dim - 1 else !lo in
+    Hashtbl.replace counts chosen
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts chosen))
   done;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

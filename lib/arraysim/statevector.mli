@@ -58,10 +58,13 @@ val apply_gate : t -> Qdt_circuit.Gate.t -> controls:int list -> target:int -> u
 val apply_matrix : t -> Qdt_linalg.Mat.t -> controls:int list -> target:int -> unit
 
 (** [apply_matrix2 sv m ~controls ~q0 ~q1] applies an arbitrary 4×4
-    unitary to the qubit pair [(q0, q1)] in one fused pass.  Matrix index
-    convention: bit 0 of the matrix row/column index is qubit [q0], bit 1
-    is qubit [q1] — the same convention as
-    {!Unitary_builder.instruction_matrix} on two qubits. *)
+    unitary to the qubit pair [(q0, q1)] in one fused pass, the kernel
+    {!Fusion} runs its two-qubit blocks on.  Matrix index convention:
+    bit 0 of the matrix row/column index is qubit [q0], bit 1 is qubit
+    [q1] — the same convention as {!Unitary_builder.instruction_matrix}
+    on two qubits.  The matrix entries are read into locals once per
+    chunk, so a pass allocates a few words in all, nothing per
+    amplitude quadruple. *)
 val apply_matrix2 :
   t -> Qdt_linalg.Mat.t -> controls:int list -> q0:int -> q1:int -> unit
 
@@ -103,7 +106,12 @@ val measure_qubit : t -> rng:Random.State.t -> int -> int
 val expectation_z : t -> int -> float
 
 (** [sample ?seed sv ~shots] draws basis states from [|ψ|²] and returns
-    (basis index, count) pairs sorted by index. *)
+    (basis index, count) pairs sorted by index.  The probability table
+    becomes its running sum in the scratch buffer, added in index order;
+    each shot draws [r] uniform in [[0, 1)] and bisects for the first
+    index whose running sum reaches [r] (the last index when none
+    does), which is the outcome a linear scan adding the table in the
+    same order picks.  Cost: one [O(2^n)] pass plus [O(n)] per shot. *)
 val sample : ?seed:int -> t -> shots:int -> (int * int) list
 
 (** [fidelity a b] is [|⟨a|b⟩|²]. *)

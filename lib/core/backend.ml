@@ -122,9 +122,14 @@ let stats_to_json (s : stats) =
    materialises 2^n amplitudes of 16 bytes each, so 24 qubits is 256 MiB. *)
 let max_dense_qubits = 24
 
+(* The shot cap every engine shares: a dynamic circuit re-runs once per
+   shot, and a served job's timeout answers the client without stopping
+   its worker, so an unbounded count could park a worker for hours. *)
+let max_shots = 1 lsl 20
+
 (* The shared admission guard, called once at the top of every engine's
    [submit]: session liveness, operation capability, qubit-count limit,
-   the dense-output cap, job parameters inside the circuit,
+   the dense-output cap, job parameters inside the circuit, the shot cap,
    measurement/reset handling, and the Clifford restriction.
    [Full_state] and [Amplitude] always require a unitary circuit (a
    collapsed state is not "the" final state); [Sample]/[Expectation_z]
@@ -153,6 +158,8 @@ let admit ~closed ~name ~caps c job =
         decline (Printf.sprintf "amplitude index %d is outside [0, 2^%d)" k num_qubits)
     | _, Job.Expectation_z { qubit; _ } when qubit < 0 || qubit >= num_qubits ->
         decline (Printf.sprintf "qubit %d is outside [0, %d)" qubit num_qubits)
+    | _, Job.Sample { shots; _ } when shots < 1 || shots > max_shots ->
+        decline (Printf.sprintf "%d shots is outside [1, %d]" shots max_shots)
     | _ ->
         if Qdt_circuit.Circuit.has_conditionals c && not caps.dynamic then
           decline "circuit contains classically-controlled operations"

@@ -84,6 +84,10 @@ val stats_to_json : stats -> string
     circuit itself at this width. *)
 val max_dense_qubits : int
 
+(** The shot cap every engine shares: {!admit} declines a [Sample] job
+    with more shots than this (2^20), or fewer than one. *)
+val max_shots : int
+
 (** [admit ~closed ~name ~caps c job] — the shared admission guard every
     engine calls once at the top of [submit], passing its session's
     [closed] flag; no engine declines a job anywhere else.  It
@@ -91,7 +95,8 @@ val max_dense_qubits : int
     session; an operation the capability record lacks; a circuit wider
     than [caps.max_qubits]; a [Full_state] job above
     {!max_dense_qubits}; an [Amplitude k] outside [[0, 2^n)]; an
-    [Expectation_z] qubit outside [[0, n)]; classical control on a
+    [Expectation_z] qubit outside [[0, n)]; a [Sample] job with shots
+    outside [[1, ]{!max_shots}[]]; classical control on a
     backend without [dynamic]; measurements or resets where the job or
     backend cannot take them; and non-Clifford gates on a
     [clifford_only] backend. *)

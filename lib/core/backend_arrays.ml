@@ -5,6 +5,7 @@
 
 module Circuit = Qdt_circuit.Circuit
 module Sv = Qdt_arraysim.Statevector
+module Fusion = Qdt_arraysim.Fusion
 
 let ( let* ) r f = Result.bind r f
 
@@ -42,12 +43,15 @@ module Session = struct
         t.sv <- Some sv;
         sv
 
-  (* The per-job run: [Sv.run]'s walk on the statevector from [acquire],
-     so warm and cold sessions see the same RNG stream and bit-identical
+  (* The per-job run on the statevector from [acquire]: a unitary-only
+     circuit runs its fused plan, anything else [Sv.run]'s walk, so warm
+     and cold sessions see the same RNG stream and bit-identical
      amplitudes. *)
   let run_in t ~seed c =
     let sv = acquire t (Circuit.num_qubits c) in
-    ignore (Circuit.execute c ~rng:(Random.State.make [| seed |]) (Sv.apply_instruction sv));
+    if Circuit.is_unitary_only c then Fusion.run sv (Fusion.plan c)
+    else
+      ignore (Circuit.execute c ~rng:(Random.State.make [| seed |]) (Sv.apply_instruction sv));
     sv
 
   (* One shot of a dynamic circuit: fresh state, live classical register.

@@ -154,4 +154,29 @@ let expectation_z sv q =
     sv.amps;
   !acc
 
+(* The linear-scan sampler [Statevector.sample] ran before it bisected a
+   running sum: one scan of the probability table per shot.  Kept
+   verbatim as the reference its counts must equal. *)
+let sample_table ?(seed = 0) probs ~shots =
+  let rng = Random.State.make [| seed |] in
+  let dim = Array.length probs in
+  let counts = Hashtbl.create 64 in
+  for _shot = 1 to shots do
+    let r = Random.State.float rng 1.0 in
+    let acc = ref 0.0 and chosen = ref (dim - 1) and k = ref 0 in
+    let continue = ref true in
+    while !continue && !k < dim do
+      acc := !acc +. probs.(!k);
+      if !acc >= r then begin
+        chosen := !k;
+        continue := false
+      end;
+      incr k
+    done;
+    Hashtbl.replace counts !chosen
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts !chosen))
+  done;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 let memory_bytes sv = 16 * Array.length sv.amps

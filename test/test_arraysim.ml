@@ -375,6 +375,160 @@ let test_channels_trace_preserving () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Gate fusion                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A random circuit over every instruction kind the planner treats
+   differently: single-qubit gates, one-control gates and swaps (half of
+   them on the previous pair, either way round, so blocks grow), gates
+   on three qubits, and barriers. *)
+let fusable_circuit ~seed n =
+  let st = Random.State.make [| seed; n |] in
+  let angle () = Random.State.float st (2.0 *. Float.pi) in
+  let q () = Random.State.int st n in
+  let last = ref (0, 1 mod n) in
+  let pair () =
+    let a, b =
+      if Random.State.bool st then
+        let a, b = !last in
+        if Random.State.bool st then (b, a) else (a, b)
+      else
+        let a = q () in
+        (a, (a + 1 + Random.State.int st (n - 1)) mod n)
+    in
+    last := (a, b);
+    (a, b)
+  in
+  let triple () =
+    let a, b = pair () in
+    let rec third () =
+      let c = q () in
+      if c = a || c = b then third () else c
+    in
+    (a, b, third ())
+  in
+  let step c =
+    match Random.State.int st (if n >= 3 then 16 else 14) with
+    | 0 -> Circuit.h (q ()) c
+    | 1 -> Circuit.t (q ()) c
+    | 2 -> Circuit.u3 ~theta:(angle ()) ~phi:(angle ()) ~lambda:(angle ()) (q ()) c
+    | 3 -> Circuit.rx (angle ()) (q ()) c
+    | 4 -> Circuit.ry (angle ()) (q ()) c
+    | 5 -> Circuit.rz (angle ()) (q ()) c
+    | 6 -> Circuit.phase (angle ()) (q ()) c
+    | 7 -> let a, b = pair () in Circuit.cx a b c
+    | 8 -> let a, b = pair () in Circuit.cz a b c
+    | 9 -> let a, b = pair () in Circuit.cphase (angle ()) a b c
+    | 10 -> let a, b = pair () in Circuit.cry (angle ()) a b c
+    | 11 -> let a, b = pair () in Circuit.swap a b c
+    | 12 -> Circuit.barrier c
+    | 13 -> let a, b = pair () in Circuit.cx b a c
+    | 14 -> let a, b, t = triple () in Circuit.ccx a b t c
+    | _ -> let a, b, t = triple () in Circuit.cswap a b t c
+  in
+  let c = ref (Circuit.empty n) in
+  for _ = 1 to 12 * n do
+    c := step !c
+  done;
+  !c
+
+let fused c =
+  let sv = Statevector.create (Circuit.num_qubits c) in
+  Fusion.run sv (Fusion.plan c);
+  sv
+
+let test_fusion_matches_unfused () =
+  let circuits =
+    List.concat_map
+      (fun n ->
+        List.map (fun seed -> (Printf.sprintf "mixed%d/%d" n seed, fusable_circuit ~seed n)) [ 1; 2; 3 ])
+      [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+    @ List.concat_map
+        (fun n ->
+          [
+            (Printf.sprintf "qft%d" n, Generators.qft n);
+            (Printf.sprintf "qv%d" n, Generators.quantum_volume ~seed:n ~depth:4 n);
+            (Printf.sprintf "random%d" n, Generators.random_circuit ~seed:n ~depth:5 n);
+          ])
+        [ 2; 5; 8; 10 ]
+  in
+  List.iter
+    (fun (name, c) ->
+      let want, _ = Statevector.run c and got = fused c in
+      for k = 0 to (1 lsl Circuit.num_qubits c) - 1 do
+        let d = Cx.norm (Cx.sub (Statevector.amplitude got k) (Statevector.amplitude want k)) in
+        if d > 1e-12 then Alcotest.failf "%s: amplitude %d off by %g" name k d
+      done)
+    circuits
+
+(* The kernels write disjoint amplitudes, so the fused state is the same
+   bits at any job count, also where the state splits across chunks. *)
+let test_fusion_jobs_bit_identical () =
+  let saved = Qdt_par.jobs () in
+  Fun.protect ~finally:(fun () -> Qdt_par.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun (name, c) ->
+      let at jobs =
+        Qdt_par.set_jobs jobs;
+        Vec.buffer (Statevector.to_vec (fused c))
+      in
+      let serial = at 1 in
+      List.iter
+        (fun jobs ->
+          if at jobs <> serial then Alcotest.failf "%s: jobs %d differs from jobs 1" name jobs)
+        [ 2; 4 ])
+    [
+      ("qv15", Generators.quantum_volume ~seed:15 ~depth:4 15);
+      ("mixed16", fusable_circuit ~seed:4 16);
+    ]
+
+(* One 4×4 pass per SU(4) block of quantum volume; a silent fall-back to
+   one pass per gate fails these. *)
+let test_fusion_pass_counts () =
+  List.iter
+    (fun (name, c, most) ->
+      let p = Fusion.plan c in
+      Alcotest.(check int) (name ^ " source gates") (Circuit.count_total c) (Fusion.gates p);
+      if Fusion.passes p > most then
+        Alcotest.failf "%s: %d passes, at most %d expected" name (Fusion.passes p) most)
+    [
+      ("qv15", Generators.quantum_volume ~seed:15 ~depth:4 15, 28);
+      ("qv16", Generators.quantum_volume ~seed:17 ~depth:3 16, 24);
+      ("qft16", Generators.qft 16, 144);
+    ]
+
+(* A block becomes one 4×4 pass only where that is cheaper than its
+   gates' own kernels: a controlled phase with one Hadamard (QFT's
+   pattern) and two CXs stay on their sparse kernels. *)
+let test_fusion_only_where_it_pays () =
+  List.iter
+    (fun (name, c, want) ->
+      Alcotest.(check int) name want (Fusion.passes (Fusion.plan c)))
+    [
+      ("h + cphase", Circuit.(empty 2 |> h 1 |> cphase 0.3 0 1), 2);
+      ("cx cx", Circuit.(empty 2 |> cx 0 1 |> cx 1 0), 2);
+      ("h h cx", Circuit.(empty 2 |> h 0 |> h 1 |> cx 0 1), 1);
+      ( "u3 cx ry rx",
+        Circuit.(empty 2 |> u3 ~theta:0.1 ~phi:0.2 ~lambda:0.3 0 |> cx 0 1 |> ry 0.4 0 |> rx 0.5 1),
+        1 );
+    ]
+
+(* The arrays engine runs the plan: one [sv.gate] span per pass. *)
+let test_arrays_engine_fuses () =
+  let c = Generators.quantum_volume ~seed:3 ~depth:3 6 in
+  let module Trace = Qdt_obs.Trace in
+  Trace.set_enabled true;
+  Trace.clear ();
+  Fun.protect ~finally:(fun () -> Trace.set_enabled false; Trace.clear ()) @@ fun () ->
+  ignore (Qdt.simulate ~backend:Qdt.Arrays_backend c);
+  let spans =
+    List.length
+      (List.filter (fun (e : Trace.event) -> e.name = "sv.gate" && e.phase = Trace.Begin)
+         (Trace.events ()))
+  in
+  Alcotest.(check int) "one span per pass" (Fusion.passes (Fusion.plan c)) spans
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -459,6 +613,14 @@ let () =
           Alcotest.test_case "depolarizing" `Quick test_depolarizing_mixes;
           Alcotest.test_case "amplitude damping" `Quick test_amplitude_damping;
           Alcotest.test_case "CPTP" `Quick test_channels_trace_preserving;
+        ] );
+      ( "fusion",
+        [
+          Alcotest.test_case "matches unfused" `Quick test_fusion_matches_unfused;
+          Alcotest.test_case "bit-identical across jobs" `Quick test_fusion_jobs_bit_identical;
+          Alcotest.test_case "pass counts" `Quick test_fusion_pass_counts;
+          Alcotest.test_case "4x4 only where it pays" `Quick test_fusion_only_where_it_pays;
+          Alcotest.test_case "arrays engine fuses" `Quick test_arrays_engine_fuses;
         ] );
       ("properties", props);
     ]

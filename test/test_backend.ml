@@ -99,8 +99,8 @@ let test_typed_errors () =
 (* ------------------------------------------------------------------ *)
 
 (* Every engine declines, with a typed error, a dense state too wide to
-   allocate (2^40 amplitudes are 16 TiB) and job parameters that fall
-   outside the circuit. *)
+   allocate (2^40 amplitudes are 16 TiB), job parameters that fall
+   outside the circuit, and shot counts outside [1, 2^20]. *)
 let test_shared_guard () =
   let wide = Generators.ghz 40 and ghz5 = Generators.ghz 5 in
   List.iter
@@ -112,7 +112,10 @@ let test_shared_guard () =
       declines "amplitude 32 of 5 qubits" ghz5 (Job.Amplitude 32);
       declines "amplitude -1" ghz5 (Job.Amplitude (-1));
       declines "<Z_5> of 5 qubits" ghz5 (Job.Expectation_z { seed = 0; qubit = 5 });
-      declines "<Z_-1>" ghz5 (Job.Expectation_z { seed = 0; qubit = -1 }))
+      declines "<Z_-1>" ghz5 (Job.Expectation_z { seed = 0; qubit = -1 });
+      declines "0 shots" ghz5 (sample_job 0);
+      declines "-5 shots" ghz5 (sample_job (-5));
+      declines "2^20 + 1 shots" ghz5 (sample_job (Backend.max_shots + 1)))
     (Registry.all ())
 
 (* Engines decline nothing on their own: over circuits that cross every

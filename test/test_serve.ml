@@ -186,6 +186,21 @@ let test_out_of_range_amplitude () =
     (Option.bind (Json.member "error" (parse_ok ~what:"error" body))
        (member_string "type"))
 
+(* A shot count past the shared cap is declined before any shot runs,
+   and the worker is free for the next job at once. *)
+let test_shot_cap () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  let post job = ok_or_fail "post" (Client.post c ~path:"/v1/jobs" ~body:(job_body ~qasm:(ghz 5) job)) in
+  let t0 = Unix.gettimeofday () in
+  let status, body = post "{\"kind\": \"sample\", \"seed\": 1, \"shots\": 1099511627776}" in
+  Alcotest.(check int) "past the cap" 422 status;
+  Alcotest.(check (option string)) "typed" (Some "backend_error")
+    (Option.bind (Json.member "error" (parse_ok ~what:"error" body)) (member_string "type"));
+  if Unix.gettimeofday () -. t0 > 5.0 then Alcotest.fail "the decline was not immediate";
+  let status, _ = post sample_job in
+  Alcotest.(check int) "next job" 200 status
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -545,6 +560,7 @@ let () =
           Alcotest.test_case "backpressure 429" `Quick test_backpressure;
           Alcotest.test_case "stray delay_ms ignored" `Quick
             test_stray_delay_ignored;
+          Alcotest.test_case "shot cap 422" `Quick test_shot_cap;
         ] );
       ( "sessions",
         [

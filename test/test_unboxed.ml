@@ -226,7 +226,99 @@ let test_apply_matrix2_matches_full () =
         if Cx.norm (Cx.sub a b) > 1e-9 then
           Alcotest.failf "apply_matrix2 n=%d (%d,%d): amplitude %d differs" n q0 q1 k
       done)
-    [ (2, 0, 1); (3, 1, 2); (4, 0, 2); (5, 3, 1) ]
+    [ (2, 0, 1); (3, 1, 2); (4, 0, 2); (5, 3, 1) ];
+  (* Controlled and wide cases, against the gates [u] was built from,
+     placed on (q0, q1) with the extra controls: 15 and 16 qubits split
+     across pool chunks at jobs 2. *)
+  let gates_of_u = Circuit.instructions (Generators.random_circuit ~seed:12 ~depth:3 2) in
+  let by_gates sv ~controls ~q0 ~q1 =
+    let wire q = if q = 0 then q0 else q1 in
+    List.iter
+      (function
+        | Circuit.Apply { gate; controls = cs; target } ->
+            Sv.apply_gate sv gate ~controls:(controls @ List.map wire cs) ~target:(wire target)
+        | _ -> Alcotest.fail "u is built from single-qubit and controlled gates only")
+      gates_of_u
+  in
+  let saved = Qdt_par.jobs () in
+  Fun.protect ~finally:(fun () -> Qdt_par.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun jobs ->
+      Qdt_par.set_jobs jobs;
+      List.iter
+        (fun (n, controls, q0, q1) ->
+          let sv = Sv.run_unitary (Generators.random_circuit ~seed:(90 + n) ~depth:3 n) in
+          let direct = Sv.copy sv and expect = Sv.copy sv in
+          Sv.apply_matrix2 direct u ~controls ~q0 ~q1;
+          by_gates expect ~controls ~q0 ~q1;
+          for k = 0 to (1 lsl n) - 1 do
+            let a = Sv.amplitude direct k and b = Sv.amplitude expect k in
+            if Cx.norm (Cx.sub a b) > 1e-12 then
+              Alcotest.failf "apply_matrix2 jobs=%d n=%d (%d,%d): amplitude %d differs" jobs n q0
+                q1 k
+          done)
+        [
+          (5, [ 4 ], 1, 3);
+          (6, [ 0; 5 ], 4, 2);
+          (15, [], 14, 2);
+          (15, [ 7 ], 3, 9);
+          (16, [], 1, 15);
+          (16, [ 4 ], 12, 7);
+        ])
+    [ 1; 2 ]
+
+(* The 4x4 kernel keeps the matrix in locals: a 16-qubit pass allocates
+   a constant few words, not some per quadruple. *)
+let test_apply_matrix2_allocation () =
+  let u = Ub.unitary (Generators.random_circuit ~seed:12 ~depth:3 2) in
+  let sv = Sv.run_unitary (Generators.random_circuit ~seed:106 ~depth:3 16) in
+  let saved = Qdt_par.jobs () in
+  Fun.protect ~finally:(fun () -> Qdt_par.set_jobs saved) @@ fun () ->
+  Qdt_par.set_jobs 1;
+  Sv.apply_matrix2 sv u ~controls:[] ~q0:3 ~q1:11;
+  let before = Gc.minor_words () in
+  Sv.apply_matrix2 sv u ~controls:[] ~q0:3 ~q1:11;
+  let words = Gc.minor_words () -. before in
+  if words >= 1000.0 then Alcotest.failf "one 16-qubit 4x4 pass allocated %.0f words" words
+
+(* Bisecting the running sum picks what the linear scan picked, shot for
+   shot, including the dim - 1 fallback when the draw exceeds the total
+   probability. *)
+let test_sample_matches_linear_scan () =
+  let rng = Random.State.make [| 81 |] in
+  let random_state n =
+    let sv = Sv.of_vec n (Vec.init (1 lsl n) (fun _ -> random_cx rng)) in
+    Sv.renormalise sv;
+    sv
+  in
+  let check what sv =
+    List.iteri
+      (fun i seed ->
+        let shots = List.nth [ 1; 100; 1000 ] (i mod 3) in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s seed %d" what seed)
+          (Sv_ref.sample_table ~seed (Sv.probabilities sv) ~shots)
+          (Sv.sample ~seed sv ~shots))
+      [ 0; 1; 2; 3; 5 ]
+  in
+  for n = 1 to 12 do
+    for s = 1 to 4 do
+      check (Printf.sprintf "%d qubits state %d" n s) (random_state n)
+    done
+  done;
+  (* Each call rebuilds the table: a second draw after a larger state
+     sampled, and after the state changed under a used scratch table. *)
+  let big = random_state 12 and small = random_state 5 in
+  ignore (Sv.sample big ~shots:10);
+  check "after a larger state" small;
+  Sv.apply_gate big Gate.H ~controls:[] ~target:3;
+  check "after the state changed" big;
+  let half =
+    Sv.of_vec 3 (Vec.init 8 (fun k -> if k < 2 then { Cx.re = 0.5; im = 0.0 } else Cx.zero))
+  in
+  check "norm^2 0.5" half;
+  Alcotest.(check bool) "fallback to dim - 1" true
+    (List.mem_assoc 7 (Sv.sample ~seed:1 half ~shots:100))
 
 let test_kraus_weight () =
   let c = Generators.random_circuit ~seed:21 ~depth:4 5 in
@@ -278,6 +370,8 @@ let () =
           Alcotest.test_case "vec in-place ops" `Quick test_vec_kernels;
           Alcotest.test_case "mat mul_into" `Quick test_mat_mul_into;
           Alcotest.test_case "fused 4x4 apply" `Quick test_apply_matrix2_matches_full;
+          Alcotest.test_case "4x4 apply allocation" `Quick test_apply_matrix2_allocation;
+          Alcotest.test_case "sample = linear scan" `Quick test_sample_matches_linear_scan;
           Alcotest.test_case "kraus weight" `Quick test_kraus_weight;
         ] );
     ]
