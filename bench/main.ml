@@ -1587,13 +1587,16 @@ let e22 ~smoke () =
   Printf.printf "  cold sessions (fresh engine per job)  %9.2f ms\n" (t_cold /. 1e6);
   Printf.printf "  warm session  (one engine, %2d jobs)   %9.2f ms\n" jobs (t_warm /. 1e6);
   Printf.printf "  speedup: %.2fx\n\n" speedup;
-  Printf.printf "  job 1  compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %.0f\n"
+  Printf.printf "  job 1  compute-hit %5.1f%%  unique-hit %5.1f%%  gate-hit %5.1f%%  gc-runs %.0f\n"
     (100.0 *. d1 "compute_hit_rate")
     (100.0 *. d1 "unique_hit_rate")
+    (100.0 *. d1 "gate_hit_rate")
     (d1 "gc_runs");
-  Printf.printf "  job %-2d compute-hit %5.1f%%  unique-hit %5.1f%%  gc-runs %.0f\n" jobs
+  Printf.printf "  job %-2d compute-hit %5.1f%%  unique-hit %5.1f%%  gate-hit %5.1f%%  gc-runs %.0f\n"
+    jobs
     (100.0 *. dn "compute_hit_rate")
     (100.0 *. dn "unique_hit_rate")
+    (100.0 *. dn "gate_hit_rate")
     (dn "gc_runs");
   metric_int "qubits" n;
   metric_int "gates" gates;
@@ -1605,6 +1608,8 @@ let e22 ~smoke () =
   metric_float "jobN_compute_hit_rate" (dn "compute_hit_rate");
   metric_float "job1_unique_hit_rate" (d1 "unique_hit_rate");
   metric_float "jobN_unique_hit_rate" (dn "unique_hit_rate");
+  metric_float "job1_gate_hit_rate" (d1 "gate_hit_rate");
+  metric_float "jobN_gate_hit_rate" (dn "gate_hit_rate");
   metric_int "job1_gc_runs" (int_of_float (d1 "gc_runs"));
   metric_int "jobN_gc_runs" (int_of_float (dn "gc_runs"));
   if t_warm >= t_cold then begin

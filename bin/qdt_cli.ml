@@ -338,7 +338,8 @@ let simulate_cmd =
   in
   let cache_bits =
     Arg.(value & opt (some int) None & info [ "dd-cache-bits" ] ~docv:"BITS"
-           ~doc:"DD backend: each bounded compute cache holds 2^BITS entries.")
+           ~doc:"DD backend: each bounded compute cache, and the gate-DD cache, \
+                 holds 2^BITS entries.")
   in
   let term =
     Term.(const run $ file_pos ~doc:"OpenQASM file to simulate" 0 $ backend_arg $ shots $ seed

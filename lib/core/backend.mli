@@ -25,10 +25,10 @@ type capabilities = {
     engine's own cost axes, each named by the engine that measures it —
     [dd.peak_nodes], [dd.final_nodes], [dd.unique_table_size],
     [dd.cnum_table_size], [dd.unique_hit_rate], [dd.compute_hit_rate],
-    [dd.gc_runs], [dd.nodes_collected], [dd.peak_live_nodes],
-    [dd.compute_cache_fill]; [mps.max_bond_dim], [mps.truncation_error];
-    [tableau_bytes] — and count this job's work only, whatever else the
-    process runs at the same time. *)
+    [dd.gate_hit_rate], [dd.gc_runs], [dd.nodes_collected],
+    [dd.peak_live_nodes], [dd.compute_cache_fill]; [mps.max_bond_dim],
+    [mps.truncation_error]; [tableau_bytes] — and count this job's work
+    only, whatever else the process runs at the same time. *)
 type stats = {
   backend : string;  (** backend that actually ran (Auto reports its pick) *)
   wall_s : float;  (** wall-clock seconds (shared clock: {!Qdt_obs.Clock}) *)

@@ -91,6 +91,7 @@ module Session = struct
       int "dd.cnum_table_size" (Pkg.cnum_live_entries mgr);
       ("dd.unique_hit_rate", rate cs.Pkg.unique_hits cs.Pkg.unique_lookups);
       ("dd.compute_hit_rate", rate cs.Pkg.compute_hits cs.Pkg.compute_lookups);
+      ("dd.gate_hit_rate", rate cs.Pkg.gate.hits cs.Pkg.gate.lookups);
       int "dd.gc_runs" cs.Pkg.gc_runs;
       int "dd.nodes_collected" cs.Pkg.nodes_collected;
       int "dd.peak_live_nodes" cs.Pkg.peak_nodes;

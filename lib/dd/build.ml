@@ -109,14 +109,16 @@ let swap mgr ~num_qubits ~controls a b =
   let second = cx ~controls ~ctl:b ~tgt:a in
   Pkg.mul_mm mgr first (Pkg.mul_mm mgr second first)
 
-let instruction mgr ~num_qubits instr =
-  match instr with
+let build_instruction mgr ~num_qubits = function
   | Circuit.Apply { gate = g; controls; target } ->
       gate mgr ~num_qubits ~controls ~target (Gate.matrix g)
   | Circuit.Swap { controls; a; b } -> swap mgr ~num_qubits ~controls a b
   | Circuit.Barrier _ -> identity mgr num_qubits
   | Circuit.Measure _ | Circuit.Reset _ | Circuit.If _ ->
       invalid_arg "Build.instruction: non-unitary instruction"
+
+let instruction mgr ~num_qubits instr =
+  Pkg.gate_dd mgr ~num_qubits instr (fun () -> build_instruction mgr ~num_qubits instr)
 
 let circuit_unitary mgr c =
   if not (Circuit.is_unitary_only c) then

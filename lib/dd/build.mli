@@ -34,7 +34,8 @@ val gate :
 val swap : Pkg.t -> num_qubits:int -> controls:int list -> int -> int -> Pkg.edge
 
 (** [instruction mgr ~num_qubits instr] is the matrix DD of a unitary
-    circuit instruction.
+    circuit instruction, taken from [mgr]'s gate-DD cache ({!Pkg.gate_dd})
+    when an earlier call built it since the last collection.
     @raise Invalid_argument on measurements/resets. *)
 val instruction :
   Pkg.t -> num_qubits:int -> Qdt_circuit.Circuit.instruction -> Pkg.edge

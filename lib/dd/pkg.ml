@@ -1,12 +1,108 @@
 open Qdt_linalg
 
-type node = { id : int; var : int; edges : edge array; mutable rc : int }
+type node = {
+  id : int;
+  var : int;
+  edges : edge array;
+  mutable rc : int;
+  mutable stamp : int;
+}
+
 and edge = { w_id : int; w : Cx.t; target : target }
 and target = Terminal | Node of node
 
-(* Unique-table key: variable plus (weight id, child id) per edge; child id
-   -1 encodes the terminal. *)
-type key = int * (int * int) array
+let target_id = function Terminal -> -1 | Node n -> n.id
+
+type cache_telemetry = {
+  cache_name : string;
+  slots : int;
+  fill : int;
+  lookups : int;
+  hits : int;
+  evictions : int;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Unique table                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Chained hash table of nodes keyed by the variable plus (weight id,
+   child id) per edge, child id -1 for the terminal.  A node is its own
+   key, so a lookup allocates nothing and compares only ints. *)
+module Unique = struct
+  type t = { mutable buckets : node list array; mutable count : int }
+
+  let no_node = { id = -1; var = -1; edges = [||]; rc = 0; stamp = 0 }
+  let create () = { buckets = Array.make 4096 []; count = 0 }
+
+  let mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let key_hash var edges =
+    let h = ref (mix 0x9e3779b1 var) in
+    for k = 0 to Array.length edges - 1 do
+      let e = Array.unsafe_get edges k in
+      h := mix (mix !h e.w_id) (target_id e.target)
+    done;
+    !h
+
+  let slot buckets h = h land (Array.length buckets - 1)
+
+  let rec same_edges a b k =
+    k < 0
+    ||
+    let x = Array.unsafe_get a k and y = Array.unsafe_get b k in
+    x.w_id = y.w_id && target_id x.target = target_id y.target && same_edges a b (k - 1)
+
+  let rec find_in var edges = function
+    | [] -> no_node
+    | n :: rest ->
+        if
+          n.var = var
+          && Array.length n.edges = Array.length edges
+          && same_edges n.edges edges (Array.length edges - 1)
+        then n
+        else find_in var edges rest
+
+  (* [no_node] when absent; [h] is [key_hash var edges]. *)
+  let find t h var edges = find_in var edges (Array.unsafe_get t.buckets (slot t.buckets h))
+
+  let add t h n =
+    if t.count >= 2 * Array.length t.buckets then begin
+      let buckets = Array.make (2 * Array.length t.buckets) [] in
+      Array.iter
+        (List.iter (fun n ->
+             let i = slot buckets (key_hash n.var n.edges) in
+             buckets.(i) <- n :: buckets.(i)))
+        t.buckets;
+      t.buckets <- buckets
+    end;
+    let i = slot t.buckets h in
+    t.buckets.(i) <- n :: t.buckets.(i);
+    t.count <- t.count + 1
+
+  let iter f t = Array.iter (List.iter f) t.buckets
+
+  (* Drop every node failing [keep]; returns how many went. *)
+  let filter t keep =
+    let before = t.count in
+    Array.iteri
+      (fun i nodes ->
+        t.buckets.(i) <-
+          List.filter (fun n -> keep n || (t.count <- t.count - 1; false)) nodes)
+      t.buckets;
+    before - t.count
+end
+
+(* Visit stamps replace a visited set in walks over a diagram ([gc]'s
+   mark, [node_count], [memory_bytes]): a walk takes a fresh stamp and
+   writes it into each node it reaches.  The epoch is process-wide because
+   [node_count] takes no manager, and atomic so walks in different domains
+   never share a stamp; that suffices because only one domain uses a
+   manager, and so its nodes, at a time. *)
+let epoch = Atomic.make 0
+let fresh_stamp () = 1 + Atomic.fetch_and_add epoch 1
 
 (* ------------------------------------------------------------------ *)
 (* Bounded compute caches                                              *)
@@ -74,11 +170,71 @@ module Ccache = struct
       Array.fill t.slots 0 (Array.length t.slots) Free;
       t.fill <- 0
     end
+
+  let telemetry t =
+    { cache_name = t.name; slots = t.mask + 1; fill = t.fill;
+      lookups = t.lookups; hits = t.hits; evictions = t.evictions }
+end
+
+(* ------------------------------------------------------------------ *)
+(* Gate-DD cache                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The eighth cache: instruction DDs keyed by (qubit count, instruction),
+   compared structurally, so a warm manager builds each gate DD once
+   between collections.  Direct-mapped and sized like [Ccache]; its
+   lookups stay out of the process-wide compute-cache counters.  Entries
+   are not pinned, so [gc] clears it with the compute caches. *)
+module Gcache = struct
+  type slot =
+    | Free
+    | Slot of { qubits : int; instr : Qdt_circuit.Circuit.instruction; dd : edge }
+
+  type t = {
+    mask : int;
+    mutable slots : slot array;  (* allocated on first store *)
+    mutable lookups : int;
+    mutable hits : int;
+    mutable fill : int;
+    mutable evictions : int;
+  }
+
+  let create ~bits =
+    let bits = max 1 (min 24 bits) in
+    { mask = (1 lsl bits) - 1; slots = [||]; lookups = 0; hits = 0; fill = 0; evictions = 0 }
+
+  let index t qubits instr = Unique.mix (Hashtbl.hash instr) qubits land t.mask
+
+  let find_or_build t ~qubits instr build =
+    t.lookups <- t.lookups + 1;
+    let i = index t qubits instr in
+    match if Array.length t.slots = 0 then Free else t.slots.(i) with
+    | Slot s when s.qubits = qubits && s.instr = instr ->
+        t.hits <- t.hits + 1;
+        s.dd
+    | _ ->
+        let dd = build () in
+        if Array.length t.slots = 0 then t.slots <- Array.make (t.mask + 1) Free;
+        (match t.slots.(i) with
+        | Free -> t.fill <- t.fill + 1
+        | Slot _ -> t.evictions <- t.evictions + 1);
+        t.slots.(i) <- Slot { qubits; instr; dd };
+        dd
+
+  let clear t =
+    if t.fill > 0 then begin
+      Array.fill t.slots 0 (Array.length t.slots) Free;
+      t.fill <- 0
+    end
+
+  let telemetry t =
+    { cache_name = "gate"; slots = t.mask + 1; fill = t.fill;
+      lookups = t.lookups; hits = t.hits; evictions = t.evictions }
 end
 
 type t = {
   ctab : Cnum_table.t;
-  unique : (key, node) Hashtbl.t;
+  unique : Unique.t;
   mutable next_id : int;
   (* External pins (from [ref_edge]) on complex ids, so GC keeps the weight
      of a root edge alive in the complex table. *)
@@ -90,6 +246,7 @@ type t = {
   kron_cache : edge Ccache.t;
   inner_cache : Cx.t Ccache.t;
   trace_cache : Cx.t Ccache.t;
+  gate_cache : Gcache.t;
   (* GC policy: [gc_threshold] is the configured floor (0 disables
      automatic collection); [gc_limit] is the live-node count that triggers
      the next collection and doubles with the surviving population. *)
@@ -103,15 +260,6 @@ type t = {
   mutable n_unique_hits : int;
 }
 
-type cache_telemetry = {
-  cache_name : string;
-  slots : int;
-  fill : int;
-  lookups : int;
-  hits : int;
-  evictions : int;
-}
-
 type cache_stats = {
   unique_lookups : int;
   unique_hits : int;
@@ -123,6 +271,7 @@ type cache_stats = {
   peak_nodes : int;
   live_nodes : int;
   caches : cache_telemetry list;
+  gate : cache_telemetry;
 }
 
 let default_gc_threshold = ref 16384
@@ -133,7 +282,7 @@ let create ?eps ?gc_threshold ?cache_bits () =
   let bits = Option.value cache_bits ~default:!default_cache_bits in
   {
     ctab = Cnum_table.create ?eps ();
-    unique = Hashtbl.create 4096;
+    unique = Unique.create ();
     next_id = 0;
     pinned_cnums = Hashtbl.create 64;
     add_cache = Ccache.create ~name:"add" ~bits;
@@ -143,6 +292,7 @@ let create ?eps ?gc_threshold ?cache_bits () =
     kron_cache = Ccache.create ~name:"kron" ~bits;
     inner_cache = Ccache.create ~name:"inner" ~bits;
     trace_cache = Ccache.create ~name:"trace" ~bits;
+    gate_cache = Gcache.create ~bits;
     gc_threshold;
     gc_limit = gc_threshold;
     gc_runs = 0;
@@ -153,30 +303,18 @@ let create ?eps ?gc_threshold ?cache_bits () =
     n_unique_hits = 0;
   }
 
-let all_caches mgr =
-  [
-    Ccache.(mgr.add_cache.name, mgr.add_cache.mask + 1, mgr.add_cache.fill,
-            mgr.add_cache.lookups, mgr.add_cache.hits, mgr.add_cache.evictions);
-    Ccache.(mgr.mul_mv_cache.name, mgr.mul_mv_cache.mask + 1, mgr.mul_mv_cache.fill,
-            mgr.mul_mv_cache.lookups, mgr.mul_mv_cache.hits, mgr.mul_mv_cache.evictions);
-    Ccache.(mgr.mul_mm_cache.name, mgr.mul_mm_cache.mask + 1, mgr.mul_mm_cache.fill,
-            mgr.mul_mm_cache.lookups, mgr.mul_mm_cache.hits, mgr.mul_mm_cache.evictions);
-    Ccache.(mgr.adjoint_cache.name, mgr.adjoint_cache.mask + 1, mgr.adjoint_cache.fill,
-            mgr.adjoint_cache.lookups, mgr.adjoint_cache.hits, mgr.adjoint_cache.evictions);
-    Ccache.(mgr.kron_cache.name, mgr.kron_cache.mask + 1, mgr.kron_cache.fill,
-            mgr.kron_cache.lookups, mgr.kron_cache.hits, mgr.kron_cache.evictions);
-    Ccache.(mgr.inner_cache.name, mgr.inner_cache.mask + 1, mgr.inner_cache.fill,
-            mgr.inner_cache.lookups, mgr.inner_cache.hits, mgr.inner_cache.evictions);
-    Ccache.(mgr.trace_cache.name, mgr.trace_cache.mask + 1, mgr.trace_cache.fill,
-            mgr.trace_cache.lookups, mgr.trace_cache.hits, mgr.trace_cache.evictions);
-  ]
-
 let cache_stats mgr =
   let caches =
-    List.map
-      (fun (cache_name, slots, fill, lookups, hits, evictions) ->
-        { cache_name; slots; fill; lookups; hits; evictions })
-      (all_caches mgr)
+    Ccache.
+      [
+        telemetry mgr.add_cache;
+        telemetry mgr.mul_mv_cache;
+        telemetry mgr.mul_mm_cache;
+        telemetry mgr.adjoint_cache;
+        telemetry mgr.kron_cache;
+        telemetry mgr.inner_cache;
+        telemetry mgr.trace_cache;
+      ]
   in
   let compute_lookups = List.fold_left (fun acc c -> acc + c.lookups) 0 caches in
   let compute_hits = List.fold_left (fun acc c -> acc + c.hits) 0 caches in
@@ -188,15 +326,20 @@ let cache_stats mgr =
     gc_runs = mgr.gc_runs;
     nodes_collected = mgr.nodes_collected;
     cnums_collected = mgr.cnums_collected;
-    peak_nodes = max mgr.peak_nodes (Hashtbl.length mgr.unique);
-    live_nodes = Hashtbl.length mgr.unique;
+    peak_nodes = max mgr.peak_nodes mgr.unique.count;
+    live_nodes = mgr.unique.count;
     caches;
+    gate = Gcache.telemetry mgr.gate_cache;
   }
 
 (* Per-job deltas for a session-held manager: monotone counters are
    subtracted, level signals (peak/live population, cache fill) keep the
    [after] value. *)
 let diff_cache_stats ~before ~after =
+  let diff (b : cache_telemetry) (a : cache_telemetry) =
+    { a with lookups = a.lookups - b.lookups; hits = a.hits - b.hits;
+             evictions = a.evictions - b.evictions }
+  in
   {
     unique_lookups = after.unique_lookups - before.unique_lookups;
     unique_hits = after.unique_hits - before.unique_hits;
@@ -207,16 +350,8 @@ let diff_cache_stats ~before ~after =
     cnums_collected = after.cnums_collected - before.cnums_collected;
     peak_nodes = after.peak_nodes;
     live_nodes = after.live_nodes;
-    caches =
-      List.map2
-        (fun (b : cache_telemetry) (a : cache_telemetry) ->
-          {
-            a with
-            lookups = a.lookups - b.lookups;
-            hits = a.hits - b.hits;
-            evictions = a.evictions - b.evictions;
-          })
-        before.caches after.caches;
+    caches = List.map2 diff before.caches after.caches;
+    gate = diff before.gate after.gate;
   }
 
 let canonical mgr z = Cnum_table.canonical mgr.ctab z
@@ -228,8 +363,6 @@ let terminal mgr z =
 let zero_edge _mgr = { w_id = Cnum_table.zero_id; w = Cx.zero; target = Terminal }
 let one_edge _mgr = { w_id = Cnum_table.one_id; w = Cx.one; target = Terminal }
 let is_zero e = e.w_id = Cnum_table.zero_id
-
-let target_id = function Terminal -> -1 | Node n -> n.id
 
 let edge_equal a b = a.w_id = b.w_id && target_id a.target = target_id b.target
 
@@ -265,7 +398,11 @@ let clear_caches mgr =
   Ccache.clear mgr.adjoint_cache;
   Ccache.clear mgr.kron_cache;
   Ccache.clear mgr.inner_cache;
-  Ccache.clear mgr.trace_cache
+  Ccache.clear mgr.trace_cache;
+  Gcache.clear mgr.gate_cache
+
+let gate_dd mgr ~num_qubits instr build =
+  Gcache.find_or_build mgr.gate_cache ~qubits:num_qubits instr build
 
 (* Observability: instruments bound once at module init; recording is a
    single flag check when disabled. *)
@@ -278,18 +415,18 @@ let w_peak_nodes = Qdt_obs.Watermark.watermark "dd.peak_live_nodes"
 let gc (mgr : t) =
   Qdt_obs.Trace.emit_begin "dd.gc";
   let t0 = Qdt_obs.Clock.now_ns () in
-  mgr.peak_nodes <- max mgr.peak_nodes (Hashtbl.length mgr.unique);
-  Qdt_obs.Watermark.observe_int w_peak_nodes (Hashtbl.length mgr.unique);
+  mgr.peak_nodes <- max mgr.peak_nodes mgr.unique.count;
+  Qdt_obs.Watermark.observe_int w_peak_nodes mgr.unique.count;
   (* Mark: everything reachable from a pinned node stays, as do the
      complex ids those nodes' edges (and pinned root edges) use. *)
-  let marked = Hashtbl.create (max 64 (Hashtbl.length mgr.unique / 2)) in
+  let stamp = fresh_stamp () in
   let live_cnums = Hashtbl.create 256 in
   Hashtbl.replace live_cnums Cnum_table.zero_id ();
   Hashtbl.replace live_cnums Cnum_table.one_id ();
   Hashtbl.iter (fun id _ -> Hashtbl.replace live_cnums id ()) mgr.pinned_cnums;
   let rec mark n =
-    if not (Hashtbl.mem marked n.id) then begin
-      Hashtbl.replace marked n.id ();
+    if n.stamp <> stamp then begin
+      n.stamp <- stamp;
       Array.iter
         (fun e ->
           Hashtbl.replace live_cnums e.w_id ();
@@ -297,50 +434,44 @@ let gc (mgr : t) =
         n.edges
     end
   in
-  Hashtbl.iter (fun _ n -> if n.rc > 0 then mark n) mgr.unique;
+  Unique.iter (fun n -> if n.rc > 0 then mark n) mgr.unique;
   (* Sweep the unique table, then the complex table entries only dead
      nodes referenced.  Node and complex ids are never reused, so an
      unpinned edge a client still holds stays numerically valid — it just
      loses sharing with future nodes. *)
-  let dead =
-    Hashtbl.fold
-      (fun key n acc -> if Hashtbl.mem marked n.id then acc else key :: acc)
-      mgr.unique []
-  in
-  List.iter (Hashtbl.remove mgr.unique) dead;
-  let collected = List.length dead in
+  let collected = Unique.filter mgr.unique (fun n -> n.stamp = stamp) in
   let swept = Cnum_table.sweep mgr.ctab ~live:(Hashtbl.mem live_cnums) in
   (* Cached results may reference swept nodes; drop them wholesale. *)
   clear_caches mgr;
   mgr.gc_runs <- mgr.gc_runs + 1;
   mgr.nodes_collected <- mgr.nodes_collected + collected;
   mgr.cnums_collected <- mgr.cnums_collected + swept;
-  mgr.gc_limit <- max mgr.gc_threshold (2 * Hashtbl.length mgr.unique);
+  mgr.gc_limit <- max mgr.gc_threshold (2 * mgr.unique.count);
   Qdt_obs.Metrics.incr m_gc_runs;
   Qdt_obs.Metrics.add m_gc_collected collected;
   Qdt_obs.Metrics.observe m_gc_pause (Qdt_obs.Clock.elapsed_ns t0);
-  Qdt_obs.Metrics.set m_live_nodes (float_of_int (Hashtbl.length mgr.unique));
+  Qdt_obs.Metrics.set m_live_nodes (float_of_int mgr.unique.count);
   Qdt_obs.Trace.emit_end "dd.gc";
   collected
 
 let maybe_gc mgr =
-  if mgr.gc_threshold > 0 && Hashtbl.length mgr.unique > mgr.gc_limit then
-    ignore (gc mgr)
+  if mgr.gc_threshold > 0 && mgr.unique.count > mgr.gc_limit then ignore (gc mgr)
 
 let hashcons mgr ~var edges =
-  let key = (var, Array.map (fun e -> (e.w_id, target_id e.target)) edges) in
   mgr.n_unique_lookups <- mgr.n_unique_lookups + 1;
-  match Hashtbl.find_opt mgr.unique key with
-  | Some n ->
-      mgr.n_unique_hits <- mgr.n_unique_hits + 1;
-      n
-  | None ->
-      let n = { id = mgr.next_id; var; edges; rc = 0 } in
-      mgr.next_id <- n.id + 1;
-      Hashtbl.replace mgr.unique key n;
-      let size = Hashtbl.length mgr.unique in
-      if size > mgr.peak_nodes then mgr.peak_nodes <- size;
-      n
+  let h = Unique.key_hash var edges in
+  let n = Unique.find mgr.unique h var edges in
+  if n != Unique.no_node then begin
+    mgr.n_unique_hits <- mgr.n_unique_hits + 1;
+    n
+  end
+  else begin
+    let n = { id = mgr.next_id; var; edges; rc = 0; stamp = 0 } in
+    mgr.next_id <- n.id + 1;
+    Unique.add mgr.unique h n;
+    if mgr.unique.count > mgr.peak_nodes then mgr.peak_nodes <- mgr.unique.count;
+    n
+  end
 
 let make_node mgr ~var edges =
   let arity = Array.length edges in
@@ -553,29 +684,28 @@ let rec trace mgr m =
 (* Inspection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let iter_nodes f e =
-  let seen = Hashtbl.create 256 in
-  let rec walk = function
-    | Terminal -> ()
-    | Node n ->
-        if not (Hashtbl.mem seen n.id) then begin
-          Hashtbl.replace seen n.id ();
-          f n;
-          Array.iter (fun child -> walk child.target) n.edges
-        end
-  in
-  walk e.target
+(* Fold [f] over the nodes reachable from [target] that do not yet carry
+   [stamp], stamping each as it is visited. *)
+let rec fold_nodes stamp f acc = function
+  | Terminal -> acc
+  | Node n ->
+      if n.stamp = stamp then acc
+      else begin
+        n.stamp <- stamp;
+        let acc = ref (f acc n) in
+        for k = 0 to Array.length n.edges - 1 do
+          acc := fold_nodes stamp f !acc n.edges.(k).target
+        done;
+        !acc
+      end
 
-let node_count e =
-  let count = ref 0 in
-  iter_nodes (fun _ -> incr count) e;
-  !count
+let node_count e = fold_nodes (fresh_stamp ()) (fun count _ -> count + 1) 0 e.target
 
+(* var + id (8 bytes each) plus per edge: weight (16) + id (8) + pointer (8). *)
 let memory_bytes e =
-  let bytes = ref 0 in
-  (* var + id (8 bytes each) plus per edge: weight (16) + id (8) + pointer (8). *)
-  iter_nodes (fun n -> bytes := !bytes + 16 + (32 * Array.length n.edges)) e;
-  !bytes
+  fold_nodes (fresh_stamp ())
+    (fun bytes n -> bytes + 16 + (32 * Array.length n.edges))
+    0 e.target
 
 let amplitude _mgr e k =
   let rec walk e =
@@ -608,9 +738,8 @@ let to_mat mgr e ~num_qubits =
   let dim = 1 lsl num_qubits in
   Mat.init dim dim (fun row col -> matrix_entry mgr e ~row ~col)
 
-let unique_table_size mgr = Hashtbl.length mgr.unique
+let unique_table_size mgr = mgr.unique.count
 let cnum_table_size mgr = Cnum_table.size mgr.ctab
 let cnum_live_entries mgr = Cnum_table.live_entries mgr.ctab
-let peak_unique_table_size (mgr : t) =
-  max mgr.peak_nodes (Hashtbl.length mgr.unique)
+let peak_unique_table_size (mgr : t) = max mgr.peak_nodes mgr.unique.count
 let refcount e = match e.target with Terminal -> 0 | Node n -> n.rc

@@ -27,15 +27,27 @@
       an unpinned edge held across a collection stays numerically valid —
       it only loses sharing with nodes built later.
 
-    - {b Bounded compute caches}: the seven operation caches (add, mat-vec,
-      mat-mat, adjoint, kron, inner, trace) are fixed-size direct-mapped
-      arrays of [2^cache_bits] slots with replace-on-collision, so cache
-      memory is O(1) per manager; they are invalidated wholesale on GC. *)
+    - {b Bounded caches}: the seven operation caches (add, mat-vec,
+      mat-mat, adjoint, kron, inner, trace) and the gate-DD cache
+      ({!gate_dd}) are fixed-size direct-mapped arrays of [2^cache_bits]
+      slots with replace-on-collision, so cache memory is O(1) per
+      manager; they are invalidated wholesale on GC.
 
-type node = private { id : int; var : int; edges : edge array; mutable rc : int }
+    A manager, and every node it made, is used by one domain at a time:
+    diagram walks ({!gc}'s mark, {!node_count}, {!memory_bytes}) write a
+    visit stamp into the nodes they reach. *)
+
+type node = private {
+  id : int;
+  var : int;
+  edges : edge array;
+  mutable rc : int;
+  mutable stamp : int;
+}
 (** [edges] has length 2 (vector node) or 4 (matrix node, row-major:
     indices [2r + c]).  [rc] is the external reference count maintained by
-    {!ref_edge}/{!unref_edge}; read-only outside the package. *)
+    {!ref_edge}/{!unref_edge}; [stamp] is the last walk that visited the
+    node.  Both are read-only outside the package. *)
 
 and edge = { w_id : int; w : Qdt_linalg.Cx.t; target : target }
 and target = Terminal | Node of node
@@ -54,8 +66,9 @@ val default_cache_bits : int ref
 
 (** [create ?eps ?gc_threshold ?cache_bits ()] — [gc_threshold] is the
     live-node floor that arms automatic collection (0 disables it);
-    [cache_bits] sizes every compute cache at [2^cache_bits] slots
-    (clamped to [1..24]). *)
+    [cache_bits] sizes every compute cache and the gate-DD cache at
+    [2^cache_bits] slots (clamped to [1..24]), allocated on first
+    store. *)
 val create : ?eps:float -> ?gc_threshold:int -> ?cache_bits:int -> unit -> t
 
 (** {1 Edges} *)
@@ -129,10 +142,18 @@ val inner : t -> edge -> edge -> Qdt_linalg.Cx.t
 (** [trace mgr m] is the trace of a matrix DD. *)
 val trace : t -> edge -> Qdt_linalg.Cx.t
 
+(** [gate_dd mgr ~num_qubits instr build] — the gate-DD cache: the DD
+    stored for [(num_qubits, instr)] (compared structurally) since the
+    last collection, else [build ()], which is stored.  Entries are not
+    pinned; {!gc} clears the cache with the compute caches. *)
+val gate_dd :
+  t -> num_qubits:int -> Qdt_circuit.Circuit.instruction -> (unit -> edge) -> edge
+
 (** {1 Inspection} *)
 
 (** [node_count e] — number of distinct nodes reachable from [e]
-    (terminals excluded). *)
+    (terminals excluded).  Allocates nothing: visited nodes are marked
+    with a fresh stamp. *)
 val node_count : edge -> int
 
 (** [memory_bytes e] — approximate heap footprint of the shared diagram,
@@ -163,7 +184,7 @@ val cnum_live_entries : t -> int
     collections — the bounded-memory signal of experiment E16. *)
 val peak_unique_table_size : t -> int
 
-(** Per-cache telemetry of one bounded compute cache. *)
+(** Per-cache telemetry of one bounded cache. *)
 type cache_telemetry = {
   cache_name : string;
   slots : int;  (** capacity (2^cache_bits) *)
@@ -184,11 +205,12 @@ type cache_stats = {
   peak_nodes : int;  (** peak unique-table population *)
   live_nodes : int;  (** current unique-table population *)
   caches : cache_telemetry list;  (** one record per compute cache *)
+  gate : cache_telemetry;  (** the gate-DD cache ({!gate_dd}) *)
 }
 
-(** [cache_stats mgr] — cumulative unique-table, compute-cache and GC
-    counters since [create]; hit rates are the backend-telemetry signal for
-    how much sharing/memoisation the workload exposes. *)
+(** [cache_stats mgr] — cumulative unique-table, compute-cache, gate-cache
+    and GC counters since [create]; hit rates are the backend-telemetry
+    signal for how much sharing/memoisation the workload exposes. *)
 val cache_stats : t -> cache_stats
 
 (** [diff_cache_stats ~before ~after] — the counter deltas between two

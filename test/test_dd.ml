@@ -38,6 +38,75 @@ let test_cnum_boundary () =
   let id2, _ = Cnum_table.canonical t (Cx.make (a +. 4e-10) 0.0) in
   Alcotest.(check int) "straddling values unify" id1 id2
 
+(* Bit-exact (id, value) equality: tells -0.0 from 0.0. *)
+let same_entry (ia, (a : Cx.t)) (ib, (b : Cx.t)) =
+  let bits = Int64.bits_of_float in
+  ia = ib && Int64.equal (bits a.re) (bits b.re) && Int64.equal (bits a.im) (bits b.im)
+
+(* The table must return the reference's representative for every query
+   of a randomised insert/query/sweep stream, including the queries where
+   several stored values lie within eps and the probe order decides. *)
+let test_cnum_matches_reference () =
+  let eps = 1e-9 in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let t = Cnum_table.create ~eps () and r = Qdt_ref.Cnum_ref.create ~eps () in
+      (* Entries still stored, to aim queries near them and to count the
+         queries more than one of them could answer. *)
+      let live = ref [ (Cnum_table.zero_id, Cx.zero); (Cnum_table.one_id, Cx.one) ] in
+      let ambiguous = ref 0 in
+      let coord () =
+        match Random.State.int rng 6 with
+        | 0 -> if Random.State.bool rng then 0.0 else -0.0
+        | 1 -> (* half-way between two grid lines *)
+            (float_of_int (Random.State.int rng 2000 - 1000) +. 0.5) *. eps
+        | 2 -> (* large, up to past the int range once quantised *)
+            (if Random.State.bool rng then 1.0 else -1.0)
+            *. (10.0 ** float_of_int (Random.State.int rng 309))
+        | 3 -> Random.State.float rng 2.0 -. 1.0
+        | _ -> (* near zero: neighbours within eps of each other *)
+            float_of_int (Random.State.int rng 20 - 10) *. 0.7 *. eps
+      in
+      let query () =
+        match !live with
+        | _ :: _ when Random.State.int rng 3 = 0 ->
+            let _, (v : Cx.t) = List.nth !live (Random.State.int rng (List.length !live)) in
+            let jitter () = (Random.State.float rng 3.0 -. 1.5) *. eps in
+            Cx.make (v.re +. jitter ()) (v.im +. jitter ())
+        | _ -> Cx.make (coord ()) (coord ())
+      in
+      for step = 1 to 3000 do
+        if step mod 400 = 0 then begin
+          let salt = Random.State.bits rng in
+          let keep id = id <= Cnum_table.one_id || Hashtbl.hash (id, salt) mod 3 <> 0 in
+          Alcotest.(check int) "sweep removes the same entries"
+            (Qdt_ref.Cnum_ref.sweep r ~live:keep) (Cnum_table.sweep t ~live:keep);
+          live := List.filter (fun (id, _) -> keep id) !live
+        end
+        else begin
+          let z = query () in
+          let near =
+            List.length
+              (List.filter (fun (_, v) -> Cx.approx_equal ~eps v z) !live)
+          in
+          if near > 1 then incr ambiguous;
+          let ((id, _) as got) = Cnum_table.canonical t z in
+          let want = Qdt_ref.Cnum_ref.canonical r z in
+          if not (same_entry got want) then
+            Alcotest.failf "seed %d step %d: canonical (%h, %h) gave id %d, reference id %d"
+              seed step z.re z.im id (fst want);
+          if not (List.mem_assoc id !live) then live := got :: !live
+        end
+      done;
+      Alcotest.(check int) "ids allocated" (Qdt_ref.Cnum_ref.size r) (Cnum_table.size t);
+      Alcotest.(check int) "entries stored" (Qdt_ref.Cnum_ref.live_entries r)
+        (Cnum_table.live_entries t);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d queries had several candidates" seed !ambiguous)
+        true (!ambiguous > 50))
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Construction / canonicity                                           *)
 (* ------------------------------------------------------------------ *)
@@ -115,30 +184,98 @@ let test_identity_dd () =
   check_mat "I8" (Mat.identity 8) (Pkg.to_mat mgr e ~num_qubits:3);
   Alcotest.(check int) "identity chain" 3 (Pkg.node_count e)
 
+(* One of every instruction shape: controls above and below the target,
+   two controls, swaps with and without controls, parametric gates. *)
+let instruction_cases =
+  [
+    ("h q0 of 1", 1, Circuit.Apply { gate = Gate.H; controls = []; target = 0 });
+    ("h q1 of 3", 3, Circuit.Apply { gate = Gate.H; controls = []; target = 1 });
+    ("x q2 of 3", 3, Circuit.Apply { gate = Gate.X; controls = []; target = 2 });
+    ("cx 2->0", 3, Circuit.Apply { gate = Gate.X; controls = [ 2 ]; target = 0 });
+    ("cx 0->2", 3, Circuit.Apply { gate = Gate.X; controls = [ 0 ]; target = 2 });
+    ("cz 1,2", 3, Circuit.Apply { gate = Gate.Z; controls = [ 1 ]; target = 2 });
+    ("ccx", 3, Circuit.Apply { gate = Gate.X; controls = [ 1; 2 ]; target = 0 });
+    ("ccx mixed", 4, Circuit.Apply { gate = Gate.X; controls = [ 0; 3 ]; target = 1 });
+    ("ct", 3, Circuit.Apply { gate = Gate.T; controls = [ 0 ]; target = 2 });
+    ("swap 0,2", 3, Circuit.Swap { controls = []; a = 0; b = 2 });
+    ("cswap", 3, Circuit.Swap { controls = [ 2 ]; a = 0; b = 1 });
+    ("cswap below", 3, Circuit.Swap { controls = [ 0 ]; a = 1; b = 2 });
+    ("rz", 2, Circuit.Apply { gate = Gate.Rz 0.7; controls = []; target = 1 });
+    ("crz", 3, Circuit.Apply { gate = Gate.Rz (-1.3); controls = [ 2 ]; target = 0 });
+    ( "cu3",
+      3,
+      Circuit.Apply
+        { gate = Gate.U3 { theta = 0.4; phi = -0.2; lambda = 1.9 }; controls = [ 0 ]; target = 1 } );
+    ("barrier", 2, Circuit.Barrier [ 0; 1 ]);
+  ]
+
+let check_instruction mgr (name, n, instr) =
+  let dd = Build.instruction mgr ~num_qubits:n instr in
+  let expect = Qdt_arraysim.Unitary_builder.instruction_matrix ~num_qubits:n instr in
+  check_mat name expect (Pkg.to_mat mgr dd ~num_qubits:n);
+  dd
+
 let test_gate_dd_matches_arrays () =
-  let cases =
-    [
-      ("h q0 of 1", 1, Circuit.Apply { gate = Gate.H; controls = []; target = 0 });
-      ("h q1 of 3", 3, Circuit.Apply { gate = Gate.H; controls = []; target = 1 });
-      ("x q2 of 3", 3, Circuit.Apply { gate = Gate.X; controls = []; target = 2 });
-      ("cx 2->0", 3, Circuit.Apply { gate = Gate.X; controls = [ 2 ]; target = 0 });
-      ("cx 0->2", 3, Circuit.Apply { gate = Gate.X; controls = [ 0 ]; target = 2 });
-      ("cz 1,2", 3, Circuit.Apply { gate = Gate.Z; controls = [ 1 ]; target = 2 });
-      ("ccx", 3, Circuit.Apply { gate = Gate.X; controls = [ 1; 2 ]; target = 0 });
-      ("ccx mixed", 4, Circuit.Apply { gate = Gate.X; controls = [ 0; 3 ]; target = 1 });
-      ("ct", 3, Circuit.Apply { gate = Gate.T; controls = [ 0 ]; target = 2 });
-      ("swap 0,2", 3, Circuit.Swap { controls = []; a = 0; b = 2 });
-      ("cswap", 3, Circuit.Swap { controls = [ 2 ]; a = 0; b = 1 });
-      ("rz", 2, Circuit.Apply { gate = Gate.Rz 0.7; controls = []; target = 1 });
-    ]
-  in
-  List.iter
-    (fun (name, n, instr) ->
-      let mgr = Pkg.create () in
-      let dd = Build.instruction mgr ~num_qubits:n instr in
-      let expect = Qdt_arraysim.Unitary_builder.instruction_matrix ~num_qubits:n instr in
-      check_mat name expect (Pkg.to_mat mgr dd ~num_qubits:n))
-    cases
+  List.iter (fun case -> ignore (check_instruction (Pkg.create ()) case)) instruction_cases
+
+(* The gate-DD cache: a repeat is answered without building, a collection
+   empties it, and the qubit count is part of the key. *)
+let test_gate_cache () =
+  let mgr = Pkg.create () in
+  (* A fresh value per call, as a parser gives each job. *)
+  let cx () = List.hd (Circuit.instructions (Circuit.cx 0 2 (Circuit.empty 3))) in
+  let instr = cx () and instr' = cx () in
+  Alcotest.(check bool) "equal but distinct instructions" true (instr = instr' && instr != instr');
+  let first = Build.instruction mgr ~num_qubits:3 instr in
+  let before = Pkg.cache_stats mgr in
+  let again = Build.instruction mgr ~num_qubits:3 instr' in
+  let after = Pkg.cache_stats mgr in
+  Alcotest.(check bool) "repeat returns the same edge" true (Pkg.edge_equal first again);
+  Alcotest.(check int) "repeat makes no unique lookups" before.Pkg.unique_lookups
+    after.Pkg.unique_lookups;
+  Alcotest.(check int) "repeat is a gate hit" (before.Pkg.gate.Pkg.hits + 1) after.Pkg.gate.Pkg.hits;
+  ignore (Pkg.gc mgr);
+  Alcotest.(check int) "gc empties the gate cache" 0 (Pkg.cache_stats mgr).Pkg.gate.Pkg.fill;
+  let rebuilt = check_instruction mgr ("cx after gc", 3, cx ()) in
+  let after_gc = Pkg.cache_stats mgr in
+  Alcotest.(check bool) "rebuilt after gc" true
+    (after_gc.Pkg.unique_lookups > after.Pkg.unique_lookups
+    && after_gc.Pkg.gate.Pkg.hits = after.Pkg.gate.Pkg.hits);
+  Alcotest.(check bool) "rebuilt is cached again" true
+    (Pkg.edge_equal rebuilt (Build.instruction mgr ~num_qubits:3 (cx ())));
+  let h = Circuit.Apply { gate = Gate.H; controls = []; target = 0 } in
+  let two = check_instruction mgr ("h of 2", 2, h) in
+  let three = check_instruction mgr ("h of 3", 3, h) in
+  Alcotest.(check bool) "two widths, two DDs" false (Pkg.edge_equal two three)
+
+(* With two slots nearly every store evicts; every instruction shape must
+   still come back as its own matrix, from a hit or a rebuild. *)
+let test_gate_cache_tiny () =
+  let mgr = Pkg.create ~cache_bits:1 () in
+  for _ = 1 to 2 do
+    List.iter
+      (fun case ->
+        ignore (check_instruction mgr case);
+        ignore (check_instruction mgr case))
+      instruction_cases
+  done;
+  let gate = (Pkg.cache_stats mgr).Pkg.gate in
+  Alcotest.(check int) "two slots" 2 gate.Pkg.slots;
+  Alcotest.(check bool) "hits and evictions both happened" true
+    (gate.Pkg.hits > 0 && gate.Pkg.evictions > 0)
+
+(* Slots are allocated on the first store: a 2^20-slot gate cache costs
+   8 MB, which [create] must not pay. *)
+let test_gate_cache_lazy () =
+  let a0 = Gc.allocated_bytes () in
+  let mgr = Pkg.create ~cache_bits:20 () in
+  let a1 = Gc.allocated_bytes () in
+  ignore (Build.instruction mgr ~num_qubits:1 (Circuit.Apply { gate = Gate.H; controls = []; target = 0 }));
+  let a2 = Gc.allocated_bytes () in
+  Alcotest.(check bool) (Printf.sprintf "create allocated %.0f bytes" (a1 -. a0)) true
+    (a1 -. a0 < 1e6);
+  Alcotest.(check bool) (Printf.sprintf "first store allocated %.0f bytes" (a2 -. a1)) true
+    (a2 -. a1 >= 8e6)
 
 let test_circuit_unitary_dd () =
   List.iter
@@ -364,6 +501,96 @@ let test_auto_gc_trigger () =
     (Qdt_arraysim.Statevector.to_vec sv)
     (Sim.to_vec st)
 
+(* Reference node count and footprint: a walk with a [Hashtbl] of
+   visited ids. *)
+let reference_walk (e : Pkg.edge) =
+  let seen = Hashtbl.create 64 in
+  let count = ref 0 and bytes = ref 0 in
+  let rec walk = function
+    | Pkg.Terminal -> ()
+    | Pkg.Node n ->
+        if not (Hashtbl.mem seen n.Pkg.id) then begin
+          Hashtbl.replace seen n.Pkg.id ();
+          incr count;
+          bytes := !bytes + 16 + (32 * Array.length n.Pkg.edges);
+          Array.iter (fun (c : Pkg.edge) -> walk c.Pkg.target) n.Pkg.edges
+        end
+  in
+  walk e.Pkg.target;
+  (!count, !bytes)
+
+(* States and operators on one manager, sharing subgraphs: vectors built
+   from a few repeated amplitudes, circuit states, their sum, and circuit
+   unitaries. *)
+let shared_dds seed =
+  let mgr = Pkg.create () in
+  let rng = Random.State.make [| seed |] in
+  let palette = Array.init 3 (fun _ -> Cx.make (Random.State.float rng 1.0) 0.0) in
+  let blocky n =
+    Build.from_vec mgr
+      (Vec.init (1 lsl n) (fun k -> if k land 3 = 0 then Cx.zero else palette.((k lsr 2) mod 3)))
+  in
+  let state n =
+    let st = Sim.make mgr n in
+    let c = Generators.random_clifford_t ~seed:(Random.State.bits rng) ~gates:40 ~t_fraction:0.3 n in
+    List.iter
+      (fun instr -> Sim.apply_instruction st instr ~rng ~clbits:[||])
+      (Circuit.instructions c);
+    Sim.root st
+  in
+  let a = state 6 and b = state 6 in
+  let u = Build.circuit_unitary mgr (Generators.random_circuit ~seed:(Random.State.bits rng) ~depth:4 4) in
+  [ blocky 7; a; b; Pkg.add mgr a b; u; Pkg.mul_mm mgr u u; Build.identity mgr 5 ]
+
+let check_counts name (e : Pkg.edge) =
+  let count, bytes = reference_walk e in
+  Alcotest.(check int) (name ^ ": node_count") count (Pkg.node_count e);
+  Alcotest.(check int) (name ^ ": memory_bytes") bytes (Pkg.memory_bytes e);
+  Alcotest.(check int) (name ^ ": recount") count (Pkg.node_count e)
+
+let test_node_count_matches_walk () =
+  List.iteri
+    (fun i e ->
+      check_counts (Printf.sprintf "dd %d" i) e;
+      (* A sub-diagram counted after its parent is counted afresh. *)
+      match e.Pkg.target with
+      | Pkg.Node n -> check_counts (Printf.sprintf "dd %d child" i) n.Pkg.edges.(0)
+      | Pkg.Terminal -> ())
+    (shared_dds 5)
+
+(* Two domains count two managers' diagrams at once: stamps come from one
+   atomic epoch, so neither walk can mistake the other's marks for its
+   own. *)
+let test_node_count_two_domains () =
+  let worker seed () =
+    let dds = shared_dds seed in
+    let expected = List.map reference_walk dds in
+    let bad = ref 0 in
+    for _ = 1 to 300 do
+      List.iter2
+        (fun e (count, bytes) ->
+          if Pkg.node_count e <> count || Pkg.memory_bytes e <> bytes then incr bad)
+        dds expected
+    done;
+    !bad
+  in
+  let d1 = Domain.spawn (worker 101) and d2 = Domain.spawn (worker 202) in
+  let bad1 = Domain.join d1 and bad2 = Domain.join d2 in
+  Alcotest.(check (pair int int)) "no miscounts" (0, 0) (bad1, bad2)
+
+(* The unique table grows past its initial buckets and still hash-conses:
+   rebuilding the same 2^14-entry vector finds every node. *)
+let test_unique_table_growth () =
+  let mgr = Pkg.create () in
+  let rng = Random.State.make [| 9 |] in
+  let v = Vec.init (1 lsl 14) (fun _ -> Cx.make (Random.State.float rng 1.0) 0.0) in
+  let e = Build.from_vec mgr v in
+  let size = Pkg.unique_table_size mgr in
+  Alcotest.(check bool) "past the initial 4096 buckets" true (size > 8192);
+  let again = Build.from_vec mgr v in
+  Alcotest.(check bool) "same edge" true (Pkg.edge_equal e again);
+  Alcotest.(check int) "no new nodes" size (Pkg.unique_table_size mgr)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -476,6 +703,7 @@ let () =
         [
           Alcotest.test_case "canonical" `Quick test_cnum_canonical;
           Alcotest.test_case "boundary" `Quick test_cnum_boundary;
+          Alcotest.test_case "matches reference" `Quick test_cnum_matches_reference;
         ] );
       ( "build",
         [
@@ -490,6 +718,9 @@ let () =
       ( "gates",
         [
           Alcotest.test_case "gate dds vs arrays" `Quick test_gate_dd_matches_arrays;
+          Alcotest.test_case "gate cache" `Quick test_gate_cache;
+          Alcotest.test_case "gate cache, two slots" `Quick test_gate_cache_tiny;
+          Alcotest.test_case "gate cache allocated lazily" `Quick test_gate_cache_lazy;
           Alcotest.test_case "circuit unitary" `Quick test_circuit_unitary_dd;
         ] );
       ( "arithmetic",
@@ -514,6 +745,9 @@ let () =
           Alcotest.test_case "refcounts" `Quick test_refcount;
           Alcotest.test_case "gc collects" `Quick test_gc_collects;
           Alcotest.test_case "auto gc trigger" `Quick test_auto_gc_trigger;
+          Alcotest.test_case "node count = visited-set walk" `Quick test_node_count_matches_walk;
+          Alcotest.test_case "node count in two domains" `Quick test_node_count_two_domains;
+          Alcotest.test_case "unique table growth" `Quick test_unique_table_growth;
         ] );
       ("export", [ Alcotest.test_case "dot" `Quick test_dot_export ]);
       ("properties", props);

@@ -48,7 +48,11 @@ let test_dd_warm_start () =
     true
     (d2 "compute_hit_rate" > d1 "compute_hit_rate");
   Alcotest.(check (float 1e-12)) "warm unique-table all hits" 1.0
-    (d2 "unique_hit_rate")
+    (d2 "unique_hit_rate");
+  (* Job 1 builds each distinct gate once; job 2 builds none. *)
+  Alcotest.(check bool) "cold gate hits partial" true
+    (d1 "gate_hit_rate" > 0.0 && d1 "gate_hit_rate" < 1.0);
+  Alcotest.(check (float 0.0)) "warm gate cache all hits" 1.0 (d2 "gate_hit_rate")
 
 (* ------------------------------------------------------------------ *)
 (* Per-job stats are deltas, not cumulative totals                     *)
