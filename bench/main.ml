@@ -94,13 +94,9 @@ let write_json ~experiment ~smoke ~report =
     (obj (List.rev_map (fun (k, s) -> (k, Stats.summary_to_json s)) !json_timings));
   Printf.fprintf oc "  \"metrics\": {\n%s\n  },\n" (obj (List.rev !json_metrics));
   (* The run report bracketing this experiment (wall/heap, run-scoped
-     metrics diff, watermark peaks) — the same artifact `qdt simulate
-     --report` emits, so bench output is queryable with the same tools. *)
-  Printf.fprintf oc "  \"report\": %s,\n" report;
-  (* Everything the Qdt_obs registry accumulated while this experiment ran
-     (the driver resets it per experiment). *)
-  Printf.fprintf oc "  \"obs_metrics\": %s\n}\n"
-    (Qdt.Obs.Metrics.to_json (Qdt.Obs.Metrics.snapshot ()));
+     metrics diff, peaks) — the same artifact `qdt simulate --report`
+     emits, so bench output is queryable with the same tools. *)
+  Printf.fprintf oc "  \"report\": %s\n}\n" report;
   close_out oc;
   Printf.printf "wrote %s\n" file
 
@@ -142,6 +138,17 @@ let measure_summary ~reps fn =
         float_of_int (time_batch fn iters) /. float_of_int iters)
   in
   (Stats.summary samples, iters)
+
+(* Best-of-[reps] wall time of one [body] call, in ns: the minimum damps
+   scheduler noise, so two configurations of one run compare fairly. *)
+let best_of ~reps body =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Qdt.Obs.Clock.now_ns () in
+    body ();
+    best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
+  done;
+  !best
 
 let pretty_ns ns =
   if ns > 1e9 then Printf.sprintf "%8.3f s " (ns /. 1e9)
@@ -905,24 +912,14 @@ let e17 ~smoke () =
     let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
     ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
-  let time_reps () =
-    (* best-of-reps damps scheduler noise for a fair ratio *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Qdt.Obs.Clock.now_ns () in
-      run_once ();
-      best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
-    done;
-    !best
-  in
   (* Both subsystems off: the shipping default and the e17 baseline. *)
   Qdt.Obs.Metrics.set_enabled false;
   Qdt.Obs.Trace.set_enabled false;
   run_once () (* warm up *);
-  let t_disabled = time_reps () in
+  let t_disabled = best_of ~reps run_once in
   (* Metrics on. *)
   Qdt.Obs.Metrics.set_enabled true;
-  let t_metrics = time_reps () in
+  let t_metrics = best_of ~reps run_once in
   (* Count the instrumentation calls one run executes: per instruction one
      counter increment plus a begin/end span bracket, and per compute-cache
      probe a lookup increment plus (on hit) a hit increment. *)
@@ -937,7 +934,7 @@ let e17 ~smoke () =
   (* Tracing on (ring sized so nothing wraps mid-measurement). *)
   Qdt.Obs.Trace.configure ~capacity:(1 lsl 18) ();
   Qdt.Obs.Trace.set_enabled true;
-  let t_traced = time_reps () in
+  let t_traced = best_of ~reps run_once in
   Qdt.Obs.Trace.set_enabled false;
   Qdt.Obs.Trace.clear ();
   (* Per-call cost of a disabled primitive, measured in a tight loop. *)
@@ -952,7 +949,7 @@ let e17 ~smoke () =
     float_of_int (Qdt.Obs.Clock.elapsed_ns t0) /. float_of_int (2 * probe_iters)
   in
   (* The probe counter is measurement scaffolding, not a result — drop it
-     from the registry so it never ships in BENCH_*.json obs_metrics. *)
+     from the registry so it never ships in a BENCH_*.json report. *)
   Qdt.Obs.Metrics.remove "e17.probe";
   let disabled_bound_pct =
     100.0 *. (float_of_int ops_per_run *. per_op_ns) /. t_disabled
@@ -1348,14 +1345,14 @@ let e20 ~smoke () =
 (* E21: run-report + labeled-metrics overhead on the e17 workload      *)
 (* ------------------------------------------------------------------ *)
 
-(* ISSUE 8's service-telemetry layer adds two new classes of
-   instrumentation to the e17 deep Clifford+T workload: labeled metric
-   series (Atomic cells behind encoded registry keys) and resource
+(* The service-telemetry layer adds two classes of instrumentation to
+   the e17 deep Clifford+T workload: labeled metric series (Atomic cells
+   behind encoded registry keys) and resource peaks, the report's
    watermarks (CAS-max cells).  This experiment re-applies the e17
    methodology to them:
      1. the *disabled* per-call cost of the new primitives, times the
         instrumentation calls one run executes, must stay within e17's
-        2% budget — labels and watermarks ride the same one-load gate;
+        2% budget — labels and peaks ride the same one-load gate;
      2. a full Report bracket (start / run / finish) must cost at most
         5% of the plain wall time — the price of `--report` on every
         simulation a service runs. *)
@@ -1372,78 +1369,58 @@ let e21 ~smoke () =
     let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
     ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
-  let time_reps body =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Qdt.Obs.Clock.now_ns () in
-      body ();
-      best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
-    done;
-    !best
-  in
   (* Everything off: the shipping default. *)
   Qdt.Obs.Metrics.set_enabled false;
   Qdt.Obs.Trace.set_enabled false;
-  Qdt.Obs.Watermark.set_enabled false;
   run_once () (* warm up *);
-  let t_plain = time_reps run_once in
-  (* Labeled metrics + watermarks live. *)
+  let t_plain = best_of ~reps run_once in
+  (* Labeled metrics + peaks live. *)
   Qdt.Obs.Metrics.set_enabled true;
-  Qdt.Obs.Watermark.set_enabled true;
-  let t_instr = time_reps run_once in
-  (* Count the watermark observations one run executes (labeled counters
-     in this workload fire per backend entry, not per gate — the per-gate
-     counters are the e17-audited plain ones). *)
-  Qdt.Obs.Metrics.reset ();
-  run_once ();
-  (* One watermark observe per DD garbage collection, plus one for the
-     backend adapter's per-run peak observation (counted even though this
-     harness drives Sim directly — the bound stays conservative). *)
-  let new_ops_per_run = counted "dd.gc.runs" + 1 in
+  let t_instr = best_of ~reps run_once in
+  (* The peak raises one run executes: the DD engine's one per job
+     (counted even though this harness drives Sim directly, so the bound
+     stays conservative).  Labeled counters in this workload fire per
+     backend entry, not per gate — the per-gate counters are the
+     e17-audited plain ones. *)
+  let new_ops_per_run = 1 in
   Qdt.Obs.Metrics.set_enabled false;
-  Qdt.Obs.Watermark.set_enabled false;
   (* Full report bracket around every run. *)
   let t_reported =
-    time_reps (fun () ->
+    best_of ~reps (fun () ->
         let rep = Qdt.Obs.Report.start () in
         run_once ();
         ignore (Qdt.Obs.Report.finish rep))
   in
   (* The bracket's own cost, isolated: start/finish around an empty body,
-     against the registry the counting run populated.  Like e17's
+     against the registry the instrumented runs populated.  Like e17's
      disabled-mode bound, this analytic form (bracket cost / wall) is
      immune to the run-to-run noise that swamps a direct wall comparison
      on a workload this size. *)
   let bracket_iters = 200 in
   let bracket_ns =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Qdt.Obs.Clock.now_ns () in
-      for _ = 1 to bracket_iters do
-        let rep = Qdt.Obs.Report.start () in
-        ignore (Qdt.Obs.Report.finish rep)
-      done;
-      best :=
-        Float.min !best
-          (float_of_int (Qdt.Obs.Clock.elapsed_ns t0) /. float_of_int bracket_iters)
-    done;
-    !best
+    best_of ~reps (fun () ->
+        for _ = 1 to bracket_iters do
+          let rep = Qdt.Obs.Report.start () in
+          ignore (Qdt.Obs.Report.finish rep)
+        done)
+    /. float_of_int bracket_iters
   in
   let report_overhead_pct = 100.0 *. bracket_ns /. t_plain in
   (* Disabled per-call cost of the new primitives: a labeled counter
-     increment plus a watermark observation, flags off. *)
+     increment plus a peak raise, flag off. *)
   let probe_c = Qdt.Obs.Metrics.counter_with ~labels:[ ("probe", "e21") ] "e21.probe" in
-  let probe_w = Qdt.Obs.Watermark.watermark "e21.probe" in
+  let probe_p = Qdt.Obs.Metrics.peak "e21.probe" in
   let probe_iters = 5_000_000 in
   let t0 = Qdt.Obs.Clock.now_ns () in
   for i = 1 to probe_iters do
     Qdt.Obs.Metrics.incr probe_c;
-    Qdt.Obs.Watermark.observe_int probe_w i
+    Qdt.Obs.Metrics.raise_to_int probe_p i
   done;
   let per_op_ns =
     float_of_int (Qdt.Obs.Clock.elapsed_ns t0) /. float_of_int (2 * probe_iters)
   in
   Qdt.Obs.Metrics.remove "e21.probe{probe=\"e21\"}";
+  Qdt.Obs.Metrics.remove "e21.probe";
   let disabled_bound_pct =
     100.0 *. (float_of_int new_ops_per_run *. per_op_ns) /. t_plain
   in
@@ -1490,11 +1467,9 @@ let e21 ~smoke () =
     [
       bench "deep-clifford-t-plain" (fun () ->
           Qdt.Obs.Metrics.set_enabled false;
-          Qdt.Obs.Watermark.set_enabled false;
           run_once ());
       bench "deep-clifford-t-instrumented" (fun () ->
           Qdt.Obs.Metrics.set_enabled true;
-          Qdt.Obs.Watermark.set_enabled true;
           run_once ());
       bench "deep-clifford-t-reported" (fun () ->
           let rep = Qdt.Obs.Report.start () in
@@ -1553,18 +1528,10 @@ let e22 ~smoke () =
     done;
     S.close s
   in
-  let time_reps body =
-    body () (* warm up *);
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Qdt.Obs.Clock.now_ns () in
-      body ();
-      best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
-    done;
-    !best
-  in
-  let t_cold = time_reps run_cold in
-  let t_warm = time_reps run_warm in
+  run_cold () (* warm up *);
+  let t_cold = best_of ~reps run_cold in
+  run_warm () (* warm up *);
+  let t_warm = best_of ~reps run_warm in
   (* Where the speedup comes from: per-job cache-counter deltas across
      one warm batch. *)
   let s = S.create () in

@@ -10,14 +10,14 @@ open Qdt_circuit
 type t = { n : int; buf : float array; mutable scratch : float array }
 
 let g_scratch = Qdt_obs.Metrics.gauge "qdt.sv.scratch_bytes"
-let w_state = Qdt_obs.Watermark.watermark "sv.peak_state_bytes"
-let w_scratch = Qdt_obs.Watermark.watermark "sv.peak_scratch_bytes"
+let p_state = Qdt_obs.Metrics.peak "sv.peak_state_bytes"
+let p_scratch = Qdt_obs.Metrics.peak "sv.peak_scratch_bytes"
 
 let scratch_floats sv n =
   if Array.length sv.scratch < n then begin
     sv.scratch <- Array.make n 0.0;
     Qdt_obs.Metrics.set g_scratch (float_of_int (8 * n));
-    Qdt_obs.Watermark.observe_int w_scratch (8 * n)
+    Qdt_obs.Metrics.raise_to_int p_scratch (8 * n)
   end;
   sv.scratch
 
@@ -27,7 +27,7 @@ let create n =
   if n < 1 || n > 26 then invalid_arg "Statevector.create: unsupported qubit count";
   let buf = Array.make (2 * (1 lsl n)) 0.0 in
   buf.(0) <- 1.0;
-  Qdt_obs.Watermark.observe_int w_state (8 * Array.length buf);
+  Qdt_obs.Metrics.raise_to_int p_state (8 * Array.length buf);
   { n; buf; scratch = [||] }
 
 (* Return to |0…0⟩ in place, keeping the state buffer and any grown
@@ -38,7 +38,7 @@ let reset sv =
 
 let of_vec n v =
   if Vec.length v <> 1 lsl n then invalid_arg "Statevector.of_vec: wrong length";
-  Qdt_obs.Watermark.observe_int w_state (16 * Vec.length v);
+  Qdt_obs.Metrics.raise_to_int p_state (16 * Vec.length v);
   { n; buf = Array.copy (Vec.buffer v); scratch = [||] }
 
 let to_vec sv = Vec.of_buffer (Array.copy sv.buf)

@@ -10,7 +10,7 @@ module Pkg = Qdt_dd.Pkg
 module Sim = Qdt_dd.Sim
 
 let ( let* ) r f = Result.bind r f
-let w_peak_nodes = Qdt_obs.Watermark.watermark "dd.peak_live_nodes"
+let p_live_nodes = Qdt_obs.Metrics.peak "dd.peak_live_nodes"
 let rate hits lookups = if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups
 
 module Session = struct
@@ -51,7 +51,6 @@ module Session = struct
     let st = Sim.make mgr (Circuit.num_qubits c) in
     let peak = ref 0 in
     ignore (Circuit.execute c ~rng:(Random.State.make [| seed |]) (tracked st peak));
-    Qdt_obs.Watermark.observe_int w_peak_nodes !peak;
     (st, !peak)
 
   (* Per-shot loop over the session manager: the previous shot's root is
@@ -128,12 +127,11 @@ module Session = struct
     in
     (* Per-job deltas against the last job boundary; stats are read
        before the dense payload, matching the pre-session evaluation
-       order exactly. *)
-    let values =
-      values ~peak
-        ~cs:(Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr))
-        st
-    in
+       order exactly.  The run's [dd.peak_live_nodes] peak is the value
+       the job reports under that name. *)
+    let cs = Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr) in
+    Qdt_obs.Metrics.raise_to_int p_live_nodes cs.Pkg.peak_nodes;
+    let values = values ~peak ~cs st in
     let payload =
       match (payload, job) with
       | Some p, _ -> p

@@ -7,7 +7,7 @@ module Circuit = Qdt_circuit.Circuit
 module Tableau = Qdt_stabilizer.Tableau
 
 let ( let* ) r f = Result.bind r f
-let w_tableau = Qdt_obs.Watermark.watermark "stabilizer.peak_tableau_bytes"
+let p_tableau = Qdt_obs.Metrics.peak "stabilizer.peak_tableau_bytes"
 
 module Session = struct
   let name = "stabilizer"
@@ -92,6 +92,6 @@ module Session = struct
               (tab, Job.Expectation (Float.of_int (Tableau.expectation_z tab qubit))))
     in
     let bytes = Tableau.memory_bytes tab in
-    Qdt_obs.Watermark.observe_int w_tableau bytes;
+    Qdt_obs.Metrics.raise_to_int p_tableau bytes;
     Ok (payload, { stats with Backend.values = [ ("tableau_bytes", float_of_int bytes) ] })
 end

@@ -410,13 +410,11 @@ let m_gc_runs = Qdt_obs.Metrics.counter "dd.gc.runs"
 let m_gc_collected = Qdt_obs.Metrics.counter "dd.gc.nodes_collected"
 let m_gc_pause = Qdt_obs.Metrics.histogram "dd.gc.pause_ns"
 let m_live_nodes = Qdt_obs.Metrics.gauge "dd.live_nodes"
-let w_peak_nodes = Qdt_obs.Watermark.watermark "dd.peak_live_nodes"
 
 let gc (mgr : t) =
   Qdt_obs.Trace.emit_begin "dd.gc";
   let t0 = Qdt_obs.Clock.now_ns () in
   mgr.peak_nodes <- max mgr.peak_nodes mgr.unique.count;
-  Qdt_obs.Watermark.observe_int w_peak_nodes mgr.unique.count;
   (* Mark: everything reachable from a pinned node stays, as do the
      complex ids those nodes' edges (and pinned root edges) use. *)
   let stamp = fresh_stamp () in

@@ -8,7 +8,10 @@
     quasi-reduced: every path visits every variable, as in the QMDD
     literature (refs [28], [29]).
 
-    All state lives in a manager value [t]; no global mutable state.
+    Tables, caches and counters live in a manager value [t].  The
+    process-global state is the {!create} defaults
+    ({!default_gc_threshold}, {!default_cache_bits}), which front ends set
+    before creating managers, and the atomic visit-stamp epoch.
 
     {2 Memory management}
 

@@ -3,8 +3,8 @@
    handed plus the [on] flag.  Nothing here allocates while disabled.
 
    Domain safety (the parallel substrate records from worker domains):
-   counter and gauge cells are [Atomic.t], so concurrent increments from
-   any number of domains never lose updates and cost one atomic op when
+   counter, gauge and peak cells are [Atomic.t], so concurrent updates
+   from any number of domains never lose one and cost one atomic op when
    enabled (one load + branch when disabled, preserving the e17 bound).
    Histograms mutate several fields per observation, so [observe] — and
    every registry mutation / whole-registry read — serialises on one
@@ -119,7 +119,10 @@ type histogram = {
   buckets : int array;
 }
 
-type instrument = C of counter | G of gauge | H of histogram
+(* A peak is a gauge cell that only [raise_to] writes. *)
+type peak = gauge
+
+type instrument = C of counter | G of gauge | H of histogram | P of peak
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
@@ -136,59 +139,61 @@ let admit_series ~base ~labels key =
   | None -> Hashtbl.add family_size base 1);
   if labels <> [] then Hashtbl.replace series_index key (base, labels)
 
-let get_or_register ~base ~labels make classify describe =
+let kind_name = function
+  | C _ -> "counter"
+  | G _ -> "gauge"
+  | H _ -> "histogram"
+  | P _ -> "peak"
+
+(* Get-or-create the series [base{labels}]: [make] builds a fresh
+   instrument, [classify] unwraps one of the kind the caller asked for. *)
+let get_or_register ~base ~labels make classify =
   let labels = canonical_labels base labels in
   let key =
     match labels with [] -> base | _ -> base ^ "{" ^ label_pairs labels ^ "}"
   in
   locked @@ fun () ->
-  match Hashtbl.find_opt registry key with
-  | Some i -> (
-      match classify i with
-      | Some v -> v
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Qdt_obs.Metrics: %S already registered as a %s" key
-               (describe i)))
+  let i =
+    match Hashtbl.find_opt registry key with
+    | Some i -> i
+    | None ->
+        admit_series ~base ~labels key;
+        let i = make key in
+        Hashtbl.replace registry key i;
+        i
+  in
+  match classify i with
+  | Some v -> v
   | None ->
-      admit_series ~base ~labels key;
-      make key
-
-let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+      invalid_arg
+        (Printf.sprintf "Qdt_obs.Metrics: %S already registered as a %s" key
+           (kind_name i))
 
 let counter_with ~labels name =
   get_or_register ~base:name ~labels
-    (fun key ->
-      let c = { c_name = key; count = Atomic.make 0 } in
-      Hashtbl.replace registry key (C c);
-      c)
+    (fun key -> C { c_name = key; count = Atomic.make 0 })
     (function C c -> Some c | _ -> None)
-    kind_name
 
 let gauge_with ~labels name =
   get_or_register ~base:name ~labels
-    (fun key ->
-      let g = { g_name = key; level = Atomic.make 0.0 } in
-      Hashtbl.replace registry key (G g);
-      g)
+    (fun key -> G { g_name = key; level = Atomic.make 0.0 })
     (function G g -> Some g | _ -> None)
-    kind_name
 
 let histogram_with ~labels name =
   get_or_register ~base:name ~labels
     (fun key ->
-      let h =
-        { h_name = key; h_count = 0; h_sum = 0; h_max = 0;
-          buckets = Array.make num_buckets 0 }
-      in
-      Hashtbl.replace registry key (H h);
-      h)
+      H { h_name = key; h_count = 0; h_sum = 0; h_max = 0;
+          buckets = Array.make num_buckets 0 })
     (function H h -> Some h | _ -> None)
-    kind_name
 
 let counter name = counter_with ~labels:[] name
 let gauge name = gauge_with ~labels:[] name
 let histogram name = histogram_with ~labels:[] name
+
+let peak name =
+  get_or_register ~base:name ~labels:[]
+    (fun key -> P { g_name = key; level = Atomic.make 0.0 })
+    (function P p -> Some p | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
@@ -236,6 +241,42 @@ let observe h v =
     let b = bucket_of v in
     h.buckets.(b) <- h.buckets.(b) + 1
 
+(* CAS-max.  Compare-and-set on a boxed float is sound here because the
+   expected value is the physically-identical box the preceding
+   [Atomic.get] returned, so a racing lower value never lands. *)
+let rec raise_cell cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then raise_cell cell v
+
+let raise_to p v = if Atomic.get on then raise_cell p.level v
+let raise_to_int p v = if Atomic.get on then raise_cell p.level (float_of_int v)
+
+(* Major-heap size.  Process-wide in OCaml 5 (every domain's heap), so
+   it is sampled at run and scrape scope, never per job. *)
+let p_heap = peak "heap.peak_heap_words"
+
+let observe_heap () =
+  if Atomic.get on then
+    raise_cell p_heap.level (float_of_int (Gc.quick_stat ()).Gc.heap_words)
+
+(* Peak resident set size.  Linux reports it as "VmHWM: <n> kB" in
+   /proc/self/status; elsewhere the file is absent and the peak simply
+   stays at zero (callers treat 0 as "not measured", the same convention
+   Report uses to drop empty peaks). *)
+let p_rss = peak "proc.peak_rss_bytes"
+
+let observe_rss () =
+  if Atomic.get on then
+    match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+    | exception Sys_error _ -> ()
+    | status ->
+        List.iter
+          (fun line ->
+            match Scanf.sscanf_opt line "VmHWM: %d kB" Fun.id with
+            | Some kb -> raise_cell p_rss.level (float_of_int kb *. 1024.0)
+            | None -> ())
+          (String.split_on_char '\n' status)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -247,20 +288,20 @@ type value =
 
 type snapshot = (string * value) list
 
-let snapshot () =
+let snapshot ?(with_peaks = true) () =
   locked (fun () ->
       Hashtbl.fold
         (fun name i acc ->
-          let v =
-            match i with
-            | C c -> Counter_v (Atomic.get c.count)
-            | G g -> Gauge_v (Atomic.get g.level)
-            | H h ->
+          match i with
+          | P _ when not with_peaks -> acc
+          | C c -> (name, Counter_v (Atomic.get c.count)) :: acc
+          | G g | P g -> (name, Gauge_v (Atomic.get g.level)) :: acc
+          | H h ->
+              ( name,
                 Histogram_v
                   { count = h.h_count; sum = h.h_sum; max_value = h.h_max;
-                    buckets = Array.copy h.buckets }
-          in
-          (name, v) :: acc)
+                    buckets = Array.copy h.buckets } )
+              :: acc)
         registry [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -292,12 +333,26 @@ let reset () =
     (fun _ i ->
       match i with
       | C c -> Atomic.set c.count 0
-      | G g -> Atomic.set g.level 0.0
+      | G g | P g -> Atomic.set g.level 0.0
       | H h ->
           h.h_count <- 0;
           h.h_sum <- 0;
           h.h_max <- 0;
           Array.fill h.buckets 0 num_buckets 0)
+    registry
+
+let peaks () =
+  locked (fun () ->
+      Hashtbl.fold
+        (fun name i acc ->
+          match i with P p -> (name, Atomic.get p.level) :: acc | _ -> acc)
+        registry [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let reset_peaks () =
+  locked @@ fun () ->
+  Hashtbl.iter
+    (fun _ i -> match i with P p -> Atomic.set p.level 0.0 | _ -> ())
     registry
 
 (* Percentile estimation from the log2 buckets: nearest rank, then

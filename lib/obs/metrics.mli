@@ -1,5 +1,5 @@
-(** Process-global metrics registry: named counters, gauges, and
-    log₂-bucketed histograms.
+(** Process-global metrics registry: named counters, gauges, peaks and
+    log₂-bucketed histograms, behind one switch.
 
     Design constraints (see DESIGN.md, "Observability"):
     - instruments are created once (usually at module initialisation) and
@@ -16,6 +16,10 @@ type counter
 type gauge
 type histogram
 
+(** A gauge that can only rise: a running maximum ("how high did
+    resource X get this run?"). *)
+type peak
+
 (** {1 Global switch} *)
 
 val set_enabled : bool -> unit
@@ -26,6 +30,12 @@ val enabled : unit -> bool
 val counter : string -> counter
 val gauge : string -> gauge
 val histogram : string -> histogram
+
+(** [peak name] — one per engine resource axis (DD nodes, MPS bond
+    dimension, statevector bytes, …).  It reads as a gauge in
+    {!snapshot}; a name is either a gauge or a peak, never both
+    ([Invalid_argument]). *)
+val peak : string -> peak
 
 (** {1 Labeled instruments}
 
@@ -66,6 +76,21 @@ val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> int -> unit
 
+(** [raise_to p v] — raise the peak to [v] if [v] exceeds it (a
+    lock-free CAS-max, safe from any domain). *)
+val raise_to : peak -> float -> unit
+
+val raise_to_int : peak -> int -> unit
+
+(** Sample the process's peak resident set size ([VmHWM] from
+    [/proc/self/status]; the peak stays 0 without procfs) into
+    ["proc.peak_rss_bytes"], and the major-heap size (every domain's)
+    into ["heap.peak_heap_words"].  Called at report assembly and on
+    every [/metrics] scrape. *)
+val observe_rss : unit -> unit
+
+val observe_heap : unit -> unit
+
 (** {1 Histogram geometry}
 
     Bucket [0] counts observations [v <= 0]; bucket [i >= 1] counts
@@ -87,8 +112,9 @@ type value =
 
 type snapshot = (string * value) list
 
-(** Current values of every registered instrument, sorted by name. *)
-val snapshot : unit -> snapshot
+(** Current values of every registered instrument, sorted by name;
+    [~with_peaks:false] leaves the peaks out. *)
+val snapshot : ?with_peaks:bool -> unit -> snapshot
 
 (** [diff ~before ~after] — per-instrument change: counters and histograms
     subtract, gauges keep the [after] reading.  Instruments absent from
@@ -97,6 +123,12 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 
 (** Zero every instrument (registrations survive). *)
 val reset : unit -> unit
+
+(** Every peak's current value, sorted by name. *)
+val peaks : unit -> (string * float) list
+
+(** Zero every peak and nothing else ({!Report} scopes peaks to a run). *)
+val reset_peaks : unit -> unit
 
 (** [estimate_percentile v p] — approximate [p]-th percentile
     ([0 <= p <= 100]) of a [Histogram_v] snapshot value, by nearest rank

@@ -1,12 +1,11 @@
 (* One run, one self-contained JSON artifact.
 
-   [start] brackets a simulation: it turns metrics and watermarks on
-   (remembering the previous switch state), zeroes the watermarks, and
-   snapshots the metric registry so the final artifact carries a diff
-   scoped to this run — not process-lifetime totals.  [finish] assembles
-   the artifact, restores the switches, and zeroes the watermarks again
-   so nothing leaks into the next run (the reset-semantics contract the
-   tests pin down).
+   [start] brackets a simulation: it turns the metrics switch on
+   (remembering its previous state), zeroes the peaks, and snapshots the
+   registry so the final artifact carries a diff scoped to this run —
+   not process-lifetime totals.  [finish] assembles the artifact,
+   restores the switch, and zeroes the peaks again so nothing leaks into
+   the next run (the reset-semantics contract the tests pin down).
 
    The report layer knows nothing about circuits or backends: callers
    attach those as named raw-JSON sections ([add_section]), keeping the
@@ -19,35 +18,25 @@ type t = {
   before_metrics : Metrics.snapshot;
   g0 : Gc.stat;
   t0 : int;
-  prev_metrics : bool;
-  prev_watermarks : bool;
+  prev_enabled : bool;
   mutable finished : string option;
 }
 
 let start () =
-  let prev_metrics = Metrics.enabled () in
-  let prev_watermarks = Watermark.enabled () in
+  let prev_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
-  Watermark.set_enabled true;
-  Watermark.reset ();
+  Metrics.reset_peaks ();
   {
     sections = [];
-    before_metrics = Metrics.snapshot ();
+    before_metrics = Metrics.snapshot ~with_peaks:false ();
     g0 = Gc.quick_stat ();
     t0 = Clock.now_ns ();
-    prev_metrics;
-    prev_watermarks;
+    prev_enabled;
     finished = None;
   }
 
 (* [json] must be a complete JSON value; it is embedded verbatim. *)
 let add_section t ~name ~json = t.sections <- (name, json) :: t.sections
-
-let watermarks_json () =
-  Json.obj
-    (List.filter_map
-       (fun (name, v) -> if v > 0.0 then Some (name, Json.float v) else None)
-       (Watermark.snapshot ()))
 
 let hotspots_json () =
   match Trace.events () with
@@ -83,14 +72,17 @@ let trace_tail_json ~limit =
 (* Build the artifact from the bracket's current state.  Pure with
    respect to the bracket: callable repeatedly ([snapshot]) without
    sealing it — only [finalize] records the result and restores the
-   switches. *)
+   switch. *)
 let assemble ?error t =
   let elapsed = Clock.elapsed_ns t.t0 in
   let g1 = Gc.quick_stat () in
-  Watermark.observe_heap ();
+  Metrics.observe_heap ();
+  (* One registry, two sections: the run diff of every instrument but
+     the peaks, and the nonzero peaks — no value lands in both. *)
   let metrics_diff =
-    Metrics.diff ~before:t.before_metrics ~after:(Metrics.snapshot ())
+    Metrics.diff ~before:t.before_metrics ~after:(Metrics.snapshot ~with_peaks:false ())
   in
+  let nonzero (k, v) = if v > 0.0 then Some (k, Json.float v) else None in
   Json.obj
     ([
        ("schema", Json.string schema);
@@ -105,7 +97,10 @@ let assemble ?error t =
            g1.Gc.heap_words g1.Gc.top_heap_words );
      ]
     @ List.rev t.sections
-    @ [ ("metrics", Metrics.to_json metrics_diff); ("watermarks", watermarks_json ()) ]
+    @ [
+        ("metrics", Metrics.to_json metrics_diff);
+        ("watermarks", Json.obj (List.filter_map nonzero (Metrics.peaks ())));
+      ]
     @ Option.to_list (Option.map (fun json -> ("hotspots", json)) (hotspots_json ()))
     @
     match error with
@@ -124,9 +119,8 @@ let finalize ?error t =
   | None ->
       let json = assemble ?error t in
       t.finished <- Some json;
-      Metrics.set_enabled t.prev_metrics;
-      Watermark.set_enabled t.prev_watermarks;
-      Watermark.reset ();
+      Metrics.set_enabled t.prev_enabled;
+      Metrics.reset_peaks ();
       json
 
 let snapshot t = match t.finished with Some json -> json | None -> assemble t

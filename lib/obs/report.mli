@@ -1,13 +1,14 @@
 (** Run reports: bracket one simulation, emit one self-contained JSON
     artifact.
 
-    {!start} enables metrics and watermarks (remembering the previous
-    switch state), zeroes the watermarks, and snapshots the metric
-    registry; {!finish} assembles the artifact — wall clock, heap deltas,
-    a metrics diff scoped to the run, nonzero watermark peaks, a span-tree
-    hotspot summary when the trace ring holds events, plus any caller
-    sections — then restores the switches and zeroes the watermarks again
-    so nothing leaks into the next run.
+    {!start} turns the {!Metrics} switch on (remembering its previous
+    state), zeroes the peaks, and snapshots the registry; {!finish}
+    assembles the artifact — wall clock, heap deltas, the nonzero peaks
+    under ["watermarks"], the run diff of every other instrument under
+    ["metrics"] (no value appears in both), a span-tree hotspot summary
+    when the trace ring holds events, plus any caller sections — then
+    restores the switch and zeroes the peaks again so nothing leaks into
+    the next run.
 
     This module knows nothing about circuits or backends; callers attach
     those as named raw-JSON sections (e.g. [Features.to_json]). *)
@@ -29,7 +30,7 @@ val add_section : t -> name:string -> json:string -> unit
 val finish : t -> string
 
 (** [snapshot t] — assemble the artifact-so-far WITHOUT closing the
-    bracket: the switches stay on, the watermarks keep accumulating, and
+    bracket: the switch stays on, the peaks keep accumulating, and
     a later {!snapshot} or {!finish} sees everything recorded since
     {!start}.  This is what a long-running server returns from
     [GET /report] — each scrape is a complete, valid artifact of the

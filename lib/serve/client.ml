@@ -7,12 +7,7 @@ type t = {
 }
 
 let connect ~host ~port =
-  let addr =
-    try Unix.inet_addr_of_string host
-    with Failure _ -> (
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_loopback)
-  in
+  let addr = Http.resolve_host host in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_INET (addr, port))
    with e ->

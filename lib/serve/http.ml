@@ -134,3 +134,17 @@ let write_response oc r =
   Buffer.add_string b r.resp_body;
   output_string oc (Buffer.contents b);
   flush oc
+
+(* A dotted quad parses directly; anything else goes through the
+   system resolver, except names in the reserved "invalid" domain,
+   which never resolve and are not looked up (RFC 6761, section 6.4).
+   A name that does not resolve is an error, never loopback. *)
+let resolve_host host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+      let reserved = String.ends_with ~suffix:".invalid" ("." ^ String.lowercase_ascii host) in
+      match if reserved then [||] else (Unix.gethostbyname host).Unix.h_addr_list with
+      | [||] | (exception Not_found) ->
+          raise (Unix.Unix_error (Unix.EADDRNOTAVAIL, "gethostbyname", host))
+      | addrs -> addrs.(0))

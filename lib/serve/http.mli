@@ -38,3 +38,9 @@ val reason : int -> string
 (** [write_response oc resp] — serialise with [Content-Length] and
     [Connection: keep-alive], and flush. *)
 val write_response : out_channel -> response -> unit
+
+(** [resolve_host host] — the IPv4 address the server binds and the
+    client connects to: [host] as a dotted quad, or resolved by name.
+    Raises [Unix.Unix_error] when the name does not resolve (names in
+    the reserved ["invalid"] domain never do, and are not looked up). *)
+val resolve_host : string -> Unix.inet_addr

@@ -22,7 +22,6 @@
 module Metrics = Qdt_obs.Metrics
 module Trace = Qdt_obs.Trace
 module Clock = Qdt_obs.Clock
-module Watermark = Qdt_obs.Watermark
 module Report = Qdt_obs.Report
 module Json = Qdt_obs.Json
 
@@ -405,16 +404,12 @@ let healthz_body t =
     (Atomic.get t.inflight) (Session_pool.size t.pool)
 
 let metrics_body t =
-  (* Fold the capacity signals in right before rendering: uptime, peak
-     RSS and heap, and every nonzero watermark as a [qdt.watermark.*]
-     gauge. *)
+  (* Sample the capacity signals right before rendering: uptime, peak
+     RSS and heap.  Peaks are registry gauges, so they render under
+     their own names with everything else. *)
   Metrics.set g_uptime (uptime_s t);
-  Watermark.observe_rss ();
-  Watermark.observe_heap ();
-  List.iter
-    (fun (name, v) ->
-      if v > 0.0 then Metrics.set (Metrics.gauge ("qdt.watermark." ^ name)) v)
-    (Watermark.snapshot ());
+  Metrics.observe_rss ();
+  Metrics.observe_heap ();
   Metrics.render_prometheus (Metrics.snapshot ())
 
 (* One job request -> one reply, shared by /v1/jobs and /v1/batch.  The
@@ -626,18 +621,12 @@ let rec accept_loop t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> Unix.inet_addr_loopback)
-
 let start cfg =
   if Sys.os_type = "Unix" then
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-  (try Unix.bind lsock (Unix.ADDR_INET (resolve_host cfg.host, cfg.port))
+  (try Unix.bind lsock (Unix.ADDR_INET (Http.resolve_host cfg.host, cfg.port))
    with e ->
      Unix.close lsock;
      raise e);
@@ -672,8 +661,7 @@ let start cfg =
       hcond = Condition.create ();
       handler_count = 0;
       (* One report bracket for the server's lifetime: this is what
-         turns metrics and watermarks on, and what GET /report
-         snapshots. *)
+         turns metrics on, and what GET /report snapshots. *)
       report = Report.start ();
       started_ns = Clock.now_ns ();
       access;

@@ -15,7 +15,7 @@
 
     Telemetry: [GET /metrics] (Prometheus exposition incl. queue-depth /
     inflight / active-sessions / uptime gauges, per-endpoint latency
-    histograms, watermark peaks), [GET /healthz], [GET /report] (a
+    histograms, resource peaks), [GET /healthz], [GET /report] (a
     {!Qdt_obs.Report} snapshot of the process so far), a JSONL access
     log, and [serve.*] trace spans nesting queue-wait and run inside
     request handling. *)

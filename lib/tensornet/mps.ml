@@ -74,8 +74,8 @@ let apply_gate1 mps u q =
    kept rank after every SVD truncation. *)
 let m_gates2 = Qdt_obs.Metrics.counter "mps.gates2"
 let m_bond = Qdt_obs.Metrics.histogram "mps.bond_dim"
-let w_bond = Qdt_obs.Watermark.watermark "mps.peak_bond_dim"
-let w_trunc = Qdt_obs.Watermark.watermark "mps.peak_truncation_error"
+let p_bond = Qdt_obs.Metrics.peak "mps.peak_bond_dim"
+let p_trunc = Qdt_obs.Metrics.peak "mps.peak_truncation_error"
 
 let scratch_floats mps n =
   if Array.length mps.scratch < n then mps.scratch <- Array.make n 0.0;
@@ -166,13 +166,13 @@ let apply_gate2 mps ?(max_bond = max_int) ?(cutoff = 1e-12) u q =
   let truncated, dropped = Svd.truncate ~max_rank:max_bond ~cutoff d in
   Qdt_obs.Trace.emit_end "mps.svd";
   mps.dropped <- mps.dropped +. dropped;
-  (* The truncation-error watermark tracks the accumulated dropped weight
+  (* The truncation-error peak tracks the accumulated dropped weight
      (monotone per state), so its peak is the worst cumulative error any
      state reached during the run. *)
-  Qdt_obs.Watermark.observe w_trunc mps.dropped;
+  Qdt_obs.Metrics.raise_to p_trunc mps.dropped;
   let k = Array.length truncated.Svd.sigma in
   Qdt_obs.Metrics.observe m_bond k;
-  Qdt_obs.Watermark.observe_int w_bond k;
+  Qdt_obs.Metrics.raise_to_int p_bond k;
   (* Both factors come out of [Svd.truncate] freshly allocated with
      exactly the site layouts we need — adopt their buffers.  Left site:
      u is (dl·2) × k row-major = (l, p0, rk).  Right site: fold the

@@ -28,14 +28,14 @@ let open_labels net =
 
 let memory_bytes net = List.fold_left (fun acc t -> acc + Tensor.memory_bytes t) 0 net
 
-let w_tensor_size = Qdt_obs.Watermark.watermark "tn.peak_tensor_size"
-let w_tensor_rank = Qdt_obs.Watermark.watermark "tn.peak_tensor_rank"
+let p_tensor_size = Qdt_obs.Metrics.peak "tn.peak_tensor_size"
+let p_tensor_rank = Qdt_obs.Metrics.peak "tn.peak_tensor_rank"
 
 let contract_pair stats a b =
   let cost = Tensor.contract_cost a b in
   let result = Tensor.contract a b in
-  Qdt_obs.Watermark.observe_int w_tensor_size (Tensor.size result);
-  Qdt_obs.Watermark.observe_int w_tensor_rank (Tensor.rank result);
+  Qdt_obs.Metrics.raise_to_int p_tensor_size (Tensor.size result);
+  Qdt_obs.Metrics.raise_to_int p_tensor_rank (Tensor.rank result);
   let s =
     {
       multiplications = stats.multiplications + cost;

@@ -13,8 +13,8 @@ let m_lcomps = Qdt_obs.Metrics.counter "zx.local_complementations"
 let m_fusions = Qdt_obs.Metrics.counter "zx.fusions"
 let m_pivots = Qdt_obs.Metrics.counter "zx.pivots"
 let m_rounds = Qdt_obs.Metrics.counter "zx.rounds"
-let w_spiders = Qdt_obs.Watermark.watermark "zx.peak_spiders"
-let w_edges = Qdt_obs.Watermark.watermark "zx.peak_edges"
+let p_spiders = Qdt_obs.Metrics.peak "zx.peak_spiders"
+let p_edges = Qdt_obs.Metrics.peak "zx.peak_edges"
 
 let interior_clifford_simp d =
   Qdt_obs.Trace.with_span "zx.simplify" @@ fun () ->
@@ -28,8 +28,8 @@ let interior_clifford_simp d =
   while !continue_ do
     incr rounds;
     Qdt_obs.Metrics.incr m_rounds;
-    Qdt_obs.Watermark.observe_int w_spiders (Diagram.num_vertices d);
-    Qdt_obs.Watermark.observe_int w_edges (Diagram.num_edges d);
+    Qdt_obs.Metrics.raise_to_int p_spiders (Diagram.num_vertices d);
+    Qdt_obs.Metrics.raise_to_int p_edges (Diagram.num_edges d);
     Qdt_obs.Trace.emit_begin "zx.round";
     let i = Qdt_obs.Trace.with_span "zx.identities" (fun () -> Rules.remove_identities d) in
     let l = Qdt_obs.Trace.with_span "zx.local-comp" (fun () -> Rules.local_complementations d) in

@@ -1,8 +1,9 @@
 (* CI helper: validate a Prometheus exposition scraped from a live
    [qdt serve] (stdin or a file argument) with the in-tree parser.
    Exits nonzero unless the text parses, the serve gauges are present,
-   and the request counters are nonzero — the contract the CI smoke job
-   enforces after driving load through the server. *)
+   the request counters are nonzero, and the DD and RSS peaks are
+   nonzero gauges — the contract the CI smoke job enforces after
+   driving decision-diagram load through the server. *)
 
 module Prom = Qdt_prom.Prom
 
@@ -42,6 +43,12 @@ let () =
       let f = family name in
       if f.Prom.kind <> "gauge" then fail "%s is %s, expected gauge" name f.Prom.kind)
     gauges;
+  List.iter
+    (fun name ->
+      let f = family name in
+      if f.Prom.kind <> "gauge" then fail "%s is %s, expected gauge" name f.Prom.kind;
+      if Prom.total f <= 0.0 then fail "%s is zero" name)
+    [ "dd_peak_live_nodes"; "proc_peak_rss_bytes" ];
   let requests = family "qdt_serve_requests" in
   if Prom.total requests <= 0.0 then fail "qdt_serve_requests counters are all zero";
   let jobs = family "qdt_serve_jobs" in

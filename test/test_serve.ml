@@ -108,6 +108,21 @@ let test_healthz () =
   let status, _ = ok_or_fail "healthz again" (Client.get c "/healthz") in
   Alcotest.(check int) "second request on one connection" 200 status
 
+(* A name that does not resolve is an error on both ends, never a
+   silent bind to, or connection with, loopback. *)
+let test_unresolvable_host () =
+  let host = "no-such-host.invalid" in
+  (match Server.start { Server.default_config with Server.host; port = 0 } with
+  | t ->
+      Server.stop t;
+      Alcotest.fail "the server bound an unresolvable host"
+  | exception Unix.Unix_error _ -> ());
+  match Client.connect ~host ~port:Server.default_config.Server.port with
+  | c ->
+      Client.close c;
+      Alcotest.fail "the client connected to an unresolvable host"
+  | exception Unix.Unix_error _ -> ()
+
 let test_job_and_warm_session () =
   with_server @@ fun t ->
   with_client t @@ fun c ->
@@ -250,16 +265,17 @@ let test_metrics_exposition () =
          && List.mem ("endpoint", "jobs") s.Prom.labels
          && s.Prom.value > 0.0)
        lat.Prom.samples);
-  (* Watermarks fold in as gauges (peak RSS via /proc where present). *)
+  (* Peaks are gauges under their own names (peak RSS via /proc where
+     present). *)
   Alcotest.(check bool) "dd watermark exposed" true
-    (Option.is_some (Prom.find "qdt_watermark_dd_peak_live_nodes" fams));
+    (Option.is_some (Prom.find "dd_peak_live_nodes" fams));
   Alcotest.(check bool) "heap watermark exposed" true
-    (match Prom.find "qdt_watermark_heap_peak_heap_words" fams with
+    (match Prom.find "heap_peak_heap_words" fams with
     | Some f -> Prom.total f > 0.0
     | None -> false);
   if Sys.file_exists "/proc/self/status" then
     Alcotest.(check bool) "peak RSS exposed" true
-      (match Prom.find "qdt_watermark_proc_peak_rss_bytes" fams with
+      (match Prom.find "proc_peak_rss_bytes" fams with
       | Some f -> Prom.total f > 0.0
       | None -> false)
 
@@ -281,7 +297,26 @@ let test_report_endpoint () =
     | Some s -> s
     | None -> Alcotest.fail "report lacks schema"
   in
-  Alcotest.(check string) "schema" (schema r1) (schema r2)
+  Alcotest.(check string) "schema" (schema r1) (schema r2);
+  (* A /metrics scrape copies nothing into the registry: the report
+     still lists each number once. *)
+  ignore (ok_or_fail "metrics" (Client.get c "/metrics"));
+  let r3 = scrape "report after a metrics scrape" in
+  let keys section =
+    match Json.member section r3 with
+    | Some (Json.Object fields) -> List.map fst fields
+    | _ -> Alcotest.failf "report lacks a %s object" section
+  in
+  let metrics = keys "metrics" and watermarks = keys "watermarks" in
+  List.iter
+    (fun k ->
+      if List.mem k metrics then Alcotest.failf "%s is in metrics and watermarks" k)
+    watermarks;
+  List.iter
+    (fun k ->
+      if String.starts_with ~prefix:"qdt.watermark." k then
+        Alcotest.failf "mirrored key %s in the report" k)
+    (metrics @ watermarks)
 
 let test_access_log_and_spans () =
   let log = Filename.temp_file "qdt_access" ".jsonl" in
@@ -545,6 +580,7 @@ let () =
             test_out_of_range_amplitude;
           Alcotest.test_case "batch JSONL" `Quick test_batch;
           Alcotest.test_case "session close" `Quick test_session_close_endpoint;
+          Alcotest.test_case "unresolvable host" `Quick test_unresolvable_host;
         ] );
       ( "telemetry",
         [

@@ -124,14 +124,11 @@ let test_values_under_concurrency () =
           (Generators.random_clifford ~seed ~gates:200 40, Job.Sample { seed; shots = 128 }))
         [ 1; 2; 3; 4 ] )
   in
-  let m = Qdt.Obs.Metrics.enabled () and w = Qdt.Obs.Watermark.enabled () in
+  let m = Qdt.Obs.Metrics.enabled () in
   Fun.protect
-    ~finally:(fun () ->
-      Qdt.Obs.Metrics.set_enabled m;
-      Qdt.Obs.Watermark.set_enabled w)
+    ~finally:(fun () -> Qdt.Obs.Metrics.set_enabled m)
     (fun () ->
       Qdt.Obs.Metrics.set_enabled true;
-      Qdt.Obs.Watermark.set_enabled true;
       let serial = List.map run_lane [ dd_lane; mps_lane; dd_lane; stabilizer_lane ] in
       let on_domain lanes = Domain.spawn (fun () -> List.map run_lane lanes) in
       let a = on_domain [ dd_lane; mps_lane ] and b = on_domain [ dd_lane; stabilizer_lane ] in
