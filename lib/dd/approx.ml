@@ -1,34 +1,7 @@
 open Qdt_linalg
 
-let subtree_norms edge =
-  let cache = Hashtbl.create 256 in
-  let rec walk (e : Pkg.edge) =
-    match e.Pkg.target with
-    | Pkg.Terminal -> 1.0
-    | Pkg.Node n -> (
-        match Hashtbl.find_opt cache n.Pkg.id with
-        | Some s -> s
-        | None ->
-            let acc = ref 0.0 in
-            Array.iter
-              (fun (child : Pkg.edge) ->
-                if not (Pkg.is_zero child) then
-                  acc := !acc +. (Cx.norm2 child.Pkg.w *. walk child))
-              n.Pkg.edges;
-            Hashtbl.replace cache n.Pkg.id !acc;
-            !acc)
-  in
-  ignore (walk edge);
-  cache
-
 let prune mgr edge ~threshold =
   if threshold < 0.0 then invalid_arg "Approx.prune: negative threshold";
-  let norms = subtree_norms edge in
-  let norm_of (e : Pkg.edge) =
-    match e.Pkg.target with
-    | Pkg.Terminal -> 1.0
-    | Pkg.Node n -> Hashtbl.find norms n.Pkg.id
-  in
   let memo = Hashtbl.create 256 in
   let rec rebuild (e : Pkg.edge) =
     if Pkg.is_zero e then e
@@ -44,7 +17,7 @@ let prune mgr edge ~threshold =
                   Array.map
                     (fun (child : Pkg.edge) ->
                       if Pkg.is_zero child then child
-                      else if Cx.norm2 child.Pkg.w *. norm_of child < threshold then
+                      else if Cx.norm2 child.Pkg.w *. Pkg.subtree_norm2 child < threshold then
                         Pkg.zero_edge mgr
                       else rebuild child)
                     n.Pkg.edges

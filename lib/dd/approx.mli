@@ -7,11 +7,7 @@
 
     The criterion here is per-node: a child edge is cut when
     [|w|² · s(child) < threshold], where [s] is the subtree's squared
-    norm; the state is renormalised afterwards. *)
-
-(** [subtree_norms edge] — squared norms of every shared subtree, keyed by
-    node id ([s(terminal) = 1]). *)
-val subtree_norms : Pkg.edge -> (int, float) Hashtbl.t
+    norm ({!Pkg.subtree_norm2}); the state is renormalised afterwards. *)
 
 (** [prune mgr edge ~threshold] — rebuilt, renormalised edge.
     [threshold = 0.] reproduces the input exactly (hash-consing makes it

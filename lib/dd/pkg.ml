@@ -6,6 +6,8 @@ type node = {
   edges : edge array;
   mutable rc : int;
   mutable stamp : int;
+  mutable size : int;
+  mutable norm2 : float;
 }
 
 and edge = { w_id : int; w : Cx.t; target : target }
@@ -32,7 +34,8 @@ type cache_telemetry = {
 module Unique = struct
   type t = { mutable buckets : node list array; mutable count : int }
 
-  let no_node = { id = -1; var = -1; edges = [||]; rc = 0; stamp = 0 }
+  let no_node =
+    { id = -1; var = -1; edges = [||]; rc = 0; stamp = 0; size = 0; norm2 = -1.0 }
   let create () = { buckets = Array.make 4096 []; count = 0 }
 
   let mix h x =
@@ -96,11 +99,11 @@ module Unique = struct
 end
 
 (* Visit stamps replace a visited set in walks over a diagram ([gc]'s
-   mark, [node_count], [memory_bytes]): a walk takes a fresh stamp and
-   writes it into each node it reaches.  The epoch is process-wide because
-   [node_count] takes no manager, and atomic so walks in different domains
-   never share a stamp; that suffices because only one domain uses a
-   manager, and so its nodes, at a time. *)
+   mark, a first [node_count], [memory_bytes]): a walk takes a fresh
+   stamp and writes it into each node it reaches.  The epoch is
+   process-wide because [node_count] takes no manager, and atomic so walks
+   in different domains never share a stamp; that suffices because only
+   one domain uses a manager, and so its nodes, at a time. *)
 let epoch = Atomic.make 0
 let fresh_stamp () = 1 + Atomic.fetch_and_add epoch 1
 
@@ -464,7 +467,7 @@ let hashcons mgr ~var edges =
     n
   end
   else begin
-    let n = { id = mgr.next_id; var; edges; rc = 0; stamp = 0 } in
+    let n = { id = mgr.next_id; var; edges; rc = 0; stamp = 0; size = 0; norm2 = -1.0 } in
     mgr.next_id <- n.id + 1;
     Unique.add mgr.unique h n;
     if mgr.unique.count > mgr.peak_nodes then mgr.peak_nodes <- mgr.unique.count;
@@ -697,7 +700,30 @@ let rec fold_nodes stamp f acc = function
         !acc
       end
 
-let node_count e = fold_nodes (fresh_stamp ()) (fun count _ -> count + 1) 0 e.target
+(* Memoised on the node: a node's edges, and so its reachable set and
+   subtree norm, never change after [hashcons] made it, and ids are never
+   reused, so a stored value needs no invalidation, not even at [gc]. *)
+let node_count e =
+  match e.target with
+  | Terminal -> 0
+  | Node n ->
+      if n.size = 0 then
+        n.size <- fold_nodes (fresh_stamp ()) (fun count _ -> count + 1) 0 e.target;
+      n.size
+
+let rec subtree_norm2 e =
+  match e.target with
+  | Terminal -> 1.0
+  | Node n ->
+      if n.norm2 < 0.0 then begin
+        let acc = ref 0.0 in
+        for k = 0 to Array.length n.edges - 1 do
+          let c = n.edges.(k) in
+          if not (is_zero c) then acc := !acc +. (Cx.norm2 c.w *. subtree_norm2 c)
+        done;
+        n.norm2 <- !acc
+      end;
+      n.norm2
 
 (* var + id (8 bytes each) plus per edge: weight (16) + id (8) + pointer (8). *)
 let memory_bytes e =

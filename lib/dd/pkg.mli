@@ -38,7 +38,8 @@
 
     A manager, and every node it made, is used by one domain at a time:
     diagram walks ({!gc}'s mark, {!node_count}, {!memory_bytes}) write a
-    visit stamp into the nodes they reach. *)
+    visit stamp into the nodes they reach, and {!node_count} and
+    {!subtree_norm2} store their results on the nodes. *)
 
 type node = private {
   id : int;
@@ -46,11 +47,17 @@ type node = private {
   edges : edge array;
   mutable rc : int;
   mutable stamp : int;
+  mutable size : int;
+  mutable norm2 : float;
 }
 (** [edges] has length 2 (vector node) or 4 (matrix node, row-major:
     indices [2r + c]).  [rc] is the external reference count maintained by
     {!ref_edge}/{!unref_edge}; [stamp] is the last walk that visited the
-    node.  Both are read-only outside the package. *)
+    node.  [size] and [norm2] memoise {!node_count} and {!subtree_norm2}
+    of the node: [size] is 0 and [norm2] negative until first computed.
+    A node's edges never change after it is made and ids are never
+    reused, so both stay valid for the node's lifetime, across {!gc}
+    too.  All four are read-only outside the package. *)
 
 and edge = { w_id : int; w : Qdt_linalg.Cx.t; target : target }
 and target = Terminal | Node of node
@@ -155,9 +162,18 @@ val gate_dd :
 (** {1 Inspection} *)
 
 (** [node_count e] — number of distinct nodes reachable from [e]
-    (terminals excluded).  Allocates nothing: visited nodes are marked
-    with a fresh stamp. *)
+    (terminals excluded).  The first count from a node walks the diagram,
+    marking visited nodes with a fresh stamp, and stores the result in
+    the node's [size]; later counts from it read [size] and walk nothing.
+    Allocates nothing. *)
 val node_count : edge -> int
+
+(** [subtree_norm2 e] — squared norm of the sub-diagram [e] points to,
+    without [e]'s own weight: 1 for the terminal, and for a node
+    [Σ_k |w_k|² · subtree_norm2 child_k] over its nonzero edges, summed
+    in edge order.  Each node's value is computed once and stored in its
+    [norm2]; [Sim.sample] and [Approx.prune] read it. *)
+val subtree_norm2 : edge -> float
 
 (** [memory_bytes e] — approximate heap footprint of the shared diagram,
     for the E5 experiment (per node: var + id + per-edge weight/pointer). *)

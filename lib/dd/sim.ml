@@ -104,37 +104,9 @@ let run_unitary circuit =
     invalid_arg "Sim.run_unitary: circuit measures or resets";
   fst (run circuit)
 
-(* Subtree squared norms for top-down sampling: s(node) = Σ|w_i|²·s(child). *)
-let subtree_norms edge =
-  let cache = Hashtbl.create 256 in
-  let rec walk (e : Pkg.edge) =
-    match e.Pkg.target with
-    | Pkg.Terminal -> 1.0
-    | Pkg.Node n -> (
-        match Hashtbl.find_opt cache n.Pkg.id with
-        | Some s -> s
-        | None ->
-            let acc = ref 0.0 in
-            Array.iter
-              (fun (child : Pkg.edge) ->
-                if not (Pkg.is_zero child) then
-                  acc := !acc +. (Cx.norm2 child.Pkg.w *. walk child))
-              n.Pkg.edges;
-            Hashtbl.replace cache n.Pkg.id !acc;
-            !acc)
-  in
-  ignore (walk edge);
-  cache
-
 let sample ?(seed = 0) st ~shots =
   Qdt_obs.Trace.with_span "dd.sample" @@ fun () ->
   let rng = Random.State.make [| seed |] in
-  let norms = subtree_norms st.edge in
-  let norm_of (e : Pkg.edge) =
-    match e.Pkg.target with
-    | Pkg.Terminal -> 1.0
-    | Pkg.Node n -> Hashtbl.find norms n.Pkg.id
-  in
   let counts = Hashtbl.create 64 in
   for _shot = 1 to shots do
     let rec descend (e : Pkg.edge) acc =
@@ -142,7 +114,8 @@ let sample ?(seed = 0) st ~shots =
       | Pkg.Terminal -> acc
       | Pkg.Node n ->
           let p_edge (child : Pkg.edge) =
-            if Pkg.is_zero child then 0.0 else Cx.norm2 child.Pkg.w *. norm_of child
+            if Pkg.is_zero child then 0.0
+            else Cx.norm2 child.Pkg.w *. Pkg.subtree_norm2 child
           in
           let p0 = p_edge n.Pkg.edges.(0) and p1 = p_edge n.Pkg.edges.(1) in
           let total = p0 +. p1 in

@@ -23,6 +23,11 @@ let str_field ?default obj name =
       | None, Some d -> Ok d
       | _ -> Error (Printf.sprintf "field %S: expected a string" name))
 
+(* JSON numbers are exact integers up to 2^53 in magnitude; past that a
+   number need not be the integer the client wrote, and [int_of_float] is
+   unspecified outside the int range. *)
+let max_exact_int = 0x1p53
+
 let int_field ?default obj name =
   match Json.member name obj with
   | None -> (
@@ -31,8 +36,13 @@ let int_field ?default obj name =
       | None -> Error (Printf.sprintf "field %S: required" name))
   | Some v -> (
       match Json.to_number v with
-      | Some f when Float.is_integer f -> Ok (int_of_float f)
+      | Some f when Float.is_integer f && Float.abs f <= max_exact_int -> Ok (int_of_float f)
       | _ -> Error (Printf.sprintf "field %S: expected an integer" name))
+
+(* The longest budget a job may ask for: one day.  The server waits on
+   [Unix.select], which rejects waits of 2^31 s or more, and converts the
+   budget to nanoseconds in an int. *)
+let max_timeout_ms = 86_400_000
 
 let job_of_json v =
   let* kind = str_field v "kind" in
@@ -86,6 +96,9 @@ let job_request_of_string body =
         | Some _ ->
             let* t = int_field obj "timeout_ms" in
             if t <= 0 then Error "field \"timeout_ms\": must be positive"
+            else if t > max_timeout_ms then
+              Error
+                (Printf.sprintf "field \"timeout_ms\": at most %d (one day)" max_timeout_ms)
             else Ok (Some t)
       in
       Ok { qasm; backend; job; session; timeout_ms }

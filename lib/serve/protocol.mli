@@ -11,7 +11,10 @@
     v}
     Job kinds mirror {!Qdt.Job.t}: [full_state], [amplitude] (field
     [index]), [sample] (fields [seed], [shots]), [expectation_z] (fields
-    [seed], [qubit]).  Any other field is ignored.
+    [seed], [qubit]).  Any other field is ignored.  Integer fields take
+    integral numbers of magnitude at most 2^53, the range in which JSON
+    numbers are exact; [timeout_ms] must lie in [1, 86400000] (one
+    day).
 
     Responses are one JSON object per job: [{"ok": true, ...}] with the
     result payload, per-job stats, and queue-wait/run timings — or

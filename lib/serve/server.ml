@@ -346,32 +346,36 @@ let submit_and_await t (req : Protocol.job_request) circuit =
           Option.value req.Protocol.timeout_ms
             ~default:t.cfg.default_timeout_ms
         in
-        let deadline = Clock.now_ns () + (timeout_ms * 1_000_000) in
-        let first =
-          Trace.with_span "serve.queue_wait" (fun () -> wait_byte k ~deadline)
-        in
-        let finished =
-          match first with
-          | `Timeout -> `Timeout
-          | `Byte 'D' -> `Done
-          | `Byte _ ->
-              (* 'S': the job left the queue; now it is running. *)
-              Trace.with_span "serve.run" (fun () ->
-                  match wait_byte k ~deadline with
-                  | `Timeout -> `Timeout
-                  | `Byte _ -> `Done)
-        in
-        Mutex.lock k.tmu;
+        (* The pipe is closed on every way out, a raising wait included. *)
         let resolution =
-          match k.outcome with
-          | Some oc when k.state = Done -> `Result oc
-          | _ ->
-              ignore finished;
-              k.state <- Abandoned;
-              `Timeout
+          Fun.protect ~finally:close_pipe @@ fun () ->
+          let deadline = Clock.now_ns () + (timeout_ms * 1_000_000) in
+          let first =
+            Trace.with_span "serve.queue_wait" (fun () -> wait_byte k ~deadline)
+          in
+          let finished =
+            match first with
+            | `Timeout -> `Timeout
+            | `Byte 'D' -> `Done
+            | `Byte _ ->
+                (* 'S': the job left the queue; now it is running. *)
+                Trace.with_span "serve.run" (fun () ->
+                    match wait_byte k ~deadline with
+                    | `Timeout -> `Timeout
+                    | `Byte _ -> `Done)
+          in
+          Mutex.lock k.tmu;
+          let resolution =
+            match k.outcome with
+            | Some oc when k.state = Done -> `Result oc
+            | _ ->
+                ignore finished;
+                k.state <- Abandoned;
+                `Timeout
+          in
+          Mutex.unlock k.tmu;
+          resolution
         in
-        Mutex.unlock k.tmu;
-        close_pipe ();
         match resolution with
         | `Result oc ->
             let r = reply_of_outcome k oc in

@@ -408,6 +408,47 @@ let test_sim_w_sampling () =
     counts;
   Alcotest.(check int) "all five appear" 5 (List.length counts)
 
+(* Norms memoised on the node change no draw: on random states (automatic
+   collections included) [Sim.sample] gives the counts of the per-call
+   [Hashtbl] sampler it replaced, and every node's [subtree_norm2] is that
+   sampler's norm bit for bit. *)
+let test_sampling_matches_reference () =
+  let rng = Random.State.make [| 23 |] in
+  let mgr = Pkg.create ~gc_threshold:64 () in
+  for trial = 1 to 40 do
+    let n = 1 + Random.State.int rng 8 in
+    let seed = Random.State.bits rng in
+    let c =
+      if trial mod 2 = 0 then Generators.random_circuit ~seed ~depth:3 n
+      else Generators.random_clifford_t ~seed ~gates:50 ~t_fraction:0.3 n
+    in
+    let st = Sim.make mgr n in
+    List.iter
+      (fun instr -> Sim.apply_instruction st instr ~rng ~clbits:[||])
+      (Circuit.instructions c);
+    let root = Sim.root st in
+    for _ = 1 to 2 do
+      let seed = Random.State.bits rng and shots = 1 + Random.State.int rng 400 in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "trial %d, seed %d, %d shots" trial seed shots)
+        (Qdt_ref.Dd_sample_ref.sample ~seed root ~shots)
+        (Sim.sample ~seed st ~shots)
+    done;
+    let norms = Qdt_ref.Dd_sample_ref.subtree_norms root in
+    let rec check (e : Pkg.edge) =
+      match e.Pkg.target with
+      | Pkg.Terminal -> ()
+      | Pkg.Node nd ->
+          let expected = Hashtbl.find norms nd.Pkg.id in
+          if Pkg.subtree_norm2 e <> expected then
+            Alcotest.failf "trial %d, node %d: subtree_norm2 %h, reference %h" trial
+              nd.Pkg.id (Pkg.subtree_norm2 e) expected;
+          Array.iter check nd.Pkg.edges
+    in
+    check root;
+    Sim.release st
+  done
+
 let test_prob_expectation () =
   let st, _ = Sim.run (Generators.w_state 4) in
   Alcotest.(check (float 1e-9)) "prob_one" 0.25 (Sim.prob_one st 2);
@@ -542,11 +583,17 @@ let shared_dds seed =
   let u = Build.circuit_unitary mgr (Generators.random_circuit ~seed:(Random.State.bits rng) ~depth:4 4) in
   [ blocky 7; a; b; Pkg.add mgr a b; u; Pkg.mul_mm mgr u u; Build.identity mgr 5 ]
 
+let root_stamp (e : Pkg.edge) =
+  match e.Pkg.target with Pkg.Node n -> n.Pkg.stamp | Pkg.Terminal -> -1
+
 let check_counts name (e : Pkg.edge) =
   let count, bytes = reference_walk e in
   Alcotest.(check int) (name ^ ": node_count") count (Pkg.node_count e);
   Alcotest.(check int) (name ^ ": memory_bytes") bytes (Pkg.memory_bytes e);
-  Alcotest.(check int) (name ^ ": recount") count (Pkg.node_count e)
+  let stamp = root_stamp e in
+  Alcotest.(check int) (name ^ ": recount") count (Pkg.node_count e);
+  (* The recount is a memo hit: it walks nothing, so stamps nothing. *)
+  Alcotest.(check int) (name ^ ": recount walks nothing") stamp (root_stamp e)
 
 let test_node_count_matches_walk () =
   List.iteri
@@ -577,6 +624,46 @@ let test_node_count_two_domains () =
   let d1 = Domain.spawn (worker 101) and d2 = Domain.spawn (worker 202) in
   let bad1 = Domain.join d1 and bad2 = Domain.join d2 in
   Alcotest.(check (pair int int)) "no miscounts" (0, 0) (bad1, bad2)
+
+(* Memoised counts stay true when a manager runs a circuit twice with a
+   collection in between.  Every other state of the first run is pinned
+   through the collection, so the second run meets those roots again
+   (memo hits) and rebuilds the others under fresh ids. *)
+let test_node_count_memo_across_gc () =
+  let rng = Random.State.make [| 19 |] in
+  for trial = 1 to 12 do
+    let n = 3 + Random.State.int rng 6 in
+    let c =
+      Generators.random_clifford_t ~seed:(Random.State.bits rng) ~gates:60 ~t_fraction:0.3 n
+    in
+    let mgr = Pkg.create () in
+    let run pass =
+      let st = Sim.make mgr n in
+      let hits = ref 0 in
+      let roots =
+        List.mapi
+          (fun i instr ->
+            Sim.apply_instruction st instr ~rng ~clbits:[||];
+            let root = Sim.root st in
+            (match root.Pkg.target with
+            | Pkg.Node nd when nd.Pkg.size > 0 -> incr hits
+            | _ -> ());
+            Alcotest.(check int)
+              (Printf.sprintf "trial %d, pass %d, instruction %d" trial pass i)
+              (fst (reference_walk root)) (Pkg.node_count root);
+            root)
+          (Circuit.instructions c)
+      in
+      Sim.release st;
+      (roots, !hits)
+    in
+    let kept = List.filteri (fun i _ -> i mod 2 = 0) (fst (run 1)) in
+    List.iter (Pkg.ref_edge mgr) kept;
+    ignore (Pkg.gc mgr);
+    let _, hits = run 2 in
+    List.iter (Pkg.unref_edge mgr) kept;
+    if hits = 0 then Alcotest.failf "trial %d: the second run met no counted root" trial
+  done
 
 (* The unique table grows past its initial buckets and still hash-conses:
    rebuilding the same 2^14-entry vector finds every node. *)
@@ -737,6 +824,7 @@ let () =
           Alcotest.test_case "measurement" `Quick test_sim_measurement;
           Alcotest.test_case "sampling ghz" `Quick test_sim_sampling;
           Alcotest.test_case "sampling w" `Quick test_sim_w_sampling;
+          Alcotest.test_case "sampling = reference" `Quick test_sampling_matches_reference;
           Alcotest.test_case "prob/expectation" `Quick test_prob_expectation;
           Alcotest.test_case "fidelity" `Quick test_sim_fidelity;
         ] );
@@ -747,6 +835,7 @@ let () =
           Alcotest.test_case "auto gc trigger" `Quick test_auto_gc_trigger;
           Alcotest.test_case "node count = visited-set walk" `Quick test_node_count_matches_walk;
           Alcotest.test_case "node count in two domains" `Quick test_node_count_two_domains;
+          Alcotest.test_case "node count memo across gc" `Quick test_node_count_memo_across_gc;
           Alcotest.test_case "unique table growth" `Quick test_unique_table_growth;
         ] );
       ("export", [ Alcotest.test_case "dot" `Quick test_dot_export ]);

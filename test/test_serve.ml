@@ -216,6 +216,68 @@ let test_shot_cap () =
   let status, _ = post sample_job in
   Alcotest.(check int) "next job" 200 status
 
+let error_of body =
+  match Json.member "error" (parse_ok ~what:"error" body) with
+  | Some e -> (member_string "type" e, member_string "message" e)
+  | None -> (None, None)
+
+(* Integer fields take only numbers JSON holds exactly (|f| <= 2^53):
+   past that [int_of_float] is unspecified, and a huge index, qubit or
+   seed used to run as some other value. *)
+let test_integer_fields () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  let post job =
+    ok_or_fail "post" (Client.post c ~path:"/v1/jobs" ~body:(job_body ~qasm:(ghz 3) job))
+  in
+  List.iter
+    (fun (field, job) ->
+      let status, body = post job in
+      Alcotest.(check int) job 400 status;
+      Alcotest.(check (pair (option string) (option string)))
+        (job ^ ": typed")
+        (Some "bad_request", Some (Printf.sprintf "field %S: expected an integer" field))
+        (error_of body))
+    [
+      ("index", "{\"kind\": \"amplitude\", \"index\": 1e300}");
+      ("index", "{\"kind\": \"amplitude\", \"index\": 9.3e18}");
+      ("index", "{\"kind\": \"amplitude\", \"index\": 9007199254740994}");
+      ("qubit", "{\"kind\": \"expectation_z\", \"qubit\": 1e300}");
+      ("seed", "{\"kind\": \"sample\", \"seed\": 1e300, \"shots\": 10}");
+      ("shots", "{\"kind\": \"sample\", \"seed\": 1, \"shots\": 1e19}");
+    ];
+  (* 2^53 itself decodes; the shared guard then declines the index. *)
+  let status, _ = post "{\"kind\": \"amplitude\", \"index\": 9007199254740992}" in
+  Alcotest.(check int) "2^53 reaches the guard" 422 status
+
+(* A budget past one day is declined before it reaches the queue: the
+   server waits on [Unix.select], which rejects waits of 2^31 s or more,
+   and counts the budget in int nanoseconds.  Declines hold no
+   descriptors. *)
+let test_timeout_cap () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  let post timeout_ms =
+    ok_or_fail "post"
+      (Client.post c ~path:"/v1/jobs" ~body:(job_body ~qasm:(ghz 3) ~timeout_ms sample_job))
+  in
+  List.iter
+    (fun ms ->
+      let status, body = post ms in
+      Alcotest.(check int) (Printf.sprintf "timeout_ms %d" ms) 400 status;
+      Alcotest.(check (option string)) "typed" (Some "bad_request") (fst (error_of body)))
+    [ 3_000_000_000_000; 5_000_000_000_000 ];
+  if Sys.file_exists "/proc/self/fd" then begin
+    let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let before = open_fds () in
+    for _ = 1 to 20 do
+      ignore (post 3_000_000_000_000)
+    done;
+    Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+  end;
+  let status, _ = post 86_400_000 in
+  Alcotest.(check int) "one day is accepted" 200 status
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -597,6 +659,8 @@ let () =
           Alcotest.test_case "stray delay_ms ignored" `Quick
             test_stray_delay_ignored;
           Alcotest.test_case "shot cap 422" `Quick test_shot_cap;
+          Alcotest.test_case "integer fields in exact range" `Quick test_integer_fields;
+          Alcotest.test_case "timeout_ms cap" `Quick test_timeout_cap;
         ] );
       ( "sessions",
         [
