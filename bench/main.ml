@@ -1596,7 +1596,14 @@ let e22 ~smoke () =
           st);
       bench "warm-session-job" (fun () -> submit_ok warm_s);
     ];
-  S.close warm_s
+  S.close warm_s;
+  (* The batch ratio above includes the warm batch's first job, which
+     runs cold; this one compares single jobs on the warm path. *)
+  let median label = (List.assoc ("e22/" ^ label) !json_timings).Stats.median in
+  let job_speedup = median "cold-session-job" /. median "warm-session-job" in
+  Printf.printf "  per-job speedup (cold job / warm job medians): %.2fx (batch: %.2fx)\n"
+    job_speedup speedup;
+  metric_float "warm_job_speedup" job_speedup
 
 (* ------------------------------------------------------------------ *)
 (* E23: serve — HTTP/JSONL job throughput, tail latency, warm sessions *)

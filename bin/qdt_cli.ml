@@ -370,9 +370,8 @@ let run_cmd =
     with_obs ~trace ~trace_format ~metrics @@ fun () ->
     (* One session for the whole batch: backend state (DD unique table and
        compute caches, statevector buffers, tableau rows) stays warm
-       between jobs.  The label separates this batch's runs on the
-       qdt.backend.runs metric. *)
-    let session = S.create ~label:(Qdt.Backend.fresh_session_label ()) () in
+       between jobs. *)
+    let session = S.create () in
     let total = List.length circuits in
     let failures = ref 0 in
     List.iteri
@@ -775,6 +774,9 @@ let serve_cmd =
     in
     match Qdt_serve.Server.run cfg with
     | () -> ()
+    | exception Invalid_argument msg ->
+        Printf.eprintf "qdt serve: %s\n" msg;
+        exit 1
     | exception Unix.Unix_error (err, _, _) ->
         Printf.eprintf "qdt serve: cannot listen on %s:%d: %s\n" host port
           (Unix.error_message err);
@@ -794,11 +796,13 @@ let serve_cmd =
   in
   let queue_depth =
     Arg.(value & opt int 64 & info [ "queue-depth" ] ~docv:"N"
-           ~doc:"Queued jobs beyond which submissions get 429 + Retry-After.")
+           ~doc:"Queued jobs (at least 1) beyond which submissions get 429 + \
+                 Retry-After.")
   in
   let timeout_ms =
     Arg.(value & opt int 30_000 & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Default per-job wall-clock budget (overridable per job).")
+           ~doc:"Default per-job wall-clock budget, 1 to 86400000 (one day) \
+                 (overridable per job).")
   in
   let max_sessions =
     Arg.(value & opt int 32 & info [ "max-sessions" ] ~docv:"N"

@@ -48,34 +48,18 @@ let operation_of_job : Job.t -> operation = function
 let error_to_string e =
   Printf.sprintf "backend %s does not support %s: %s" e.backend e.operation e.reason
 
-(* Session labels for the per-session dimension on [qdt.backend.runs].
-   Labels must stay low-cardinality (the metrics registry hard-caps series
-   per base name), so only the first [max_labeled_sessions] sessions of a
-   process get their own value; the rest share "overflow".  One-shot
-   [run_once] calls carry no session label at all, keeping their series
-   identical to the pre-session layer. *)
-let session_seq = Atomic.make 0
-let max_labeled_sessions = 32
-
-let fresh_session_label () =
-  let k = 1 + Atomic.fetch_and_add session_seq 1 in
-  if k <= max_labeled_sessions then Printf.sprintf "s%d" k else "overflow"
-
 (* Every adapter names its runs "<prefix>.<operation>" and counts them
-   on [qdt.backend.runs] with the same two names as labels.  The label
-   set is closed (5 prefixes × 4 operations, plus the bounded session
-   dimension), well under the registry's cardinality cap.  Heap and
-   registry deltas are deliberately not taken here: both are
-   process-wide, so under several worker domains they would count other
-   jobs' work; run-scoped deltas live in [Qdt_obs.Report]. *)
-let timed ~name ~prefix ?session job f =
+   on [qdt.backend.runs] with the same two names as labels, a closed set
+   (5 prefixes × 4 operations) well under the registry's cardinality
+   cap.  Heap and registry deltas are deliberately not taken here: both
+   are process-wide, so under several worker domains they would count
+   other jobs' work; run-scoped deltas live in [Qdt_obs.Report]. *)
+let timed ~name ~prefix job f =
   let operation = operation_name (operation_of_job job) in
   if Qdt_obs.Metrics.enabled () then
     Qdt_obs.Metrics.incr
       (Qdt_obs.Metrics.counter_with
-         ~labels:
-           (("backend", prefix) :: ("operation", operation)
-           :: (match session with None -> [] | Some s -> [ ("session", s) ]))
+         ~labels:[ ("backend", prefix); ("operation", operation) ]
          "qdt.backend.runs");
   let result, elapsed =
     Qdt_obs.Trace.with_span (prefix ^ "." ^ operation) (fun () ->
@@ -190,10 +174,8 @@ module type SESSION = sig
   (** One persistent engine.  Not domain-safe: submit from one domain at
       a time (a server serialises jobs per session). *)
 
-  (** [create ?label ()] opens a session.  [label] (see
-      {!fresh_session_label}) tags the session's runs on the
-      [qdt.backend.runs] metric; omit it for untagged one-shot use. *)
-  val create : ?label:string -> unit -> t
+  (** [create ()] opens a session. *)
+  val create : unit -> t
 
   (** [submit session c job] executes [job] on circuit [c].  The stats
       record covers this job only (per-job deltas, not session

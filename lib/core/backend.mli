@@ -54,20 +54,13 @@ val error_to_string : error -> string
 (** [operation_of_job job] — the capability bucket a job falls in. *)
 val operation_of_job : Job.t -> operation
 
-(** [fresh_session_label ()] — a short process-unique label ("s1", "s2",
-    …) for tagging a session's runs on the [qdt.backend.runs] metric.
-    After 32 sessions the label clamps to ["overflow"] so metric
-    cardinality stays bounded. *)
-val fresh_session_label : unit -> string
-
-(** [timed ~name ~prefix ?session job f] — run [f], the body of [job]
-    on backend [name], and return its result with a stats record holding
-    the wall time on the shared monotonic clock and no values.  The run
-    is bracketed in a {!Qdt_obs.Trace} span [<prefix>.<operation>] and,
+(** [timed ~name ~prefix job f] — run [f], the body of [job] on backend
+    [name], and return its result with a stats record holding the wall
+    time on the shared monotonic clock and no values.  The run is
+    bracketed in a {!Qdt_obs.Trace} span [<prefix>.<operation>] and,
     while metrics are enabled, counted on
-    [qdt.backend.runs{backend=<prefix>,operation[,session]}]. *)
-val timed :
-  name:string -> prefix:string -> ?session:string -> Job.t -> (unit -> 'a) -> 'a * stats
+    [qdt.backend.runs{backend=<prefix>,operation}]. *)
+val timed : name:string -> prefix:string -> Job.t -> (unit -> 'a) -> 'a * stats
 
 (** [backend=… wall=…s] and one [name=value] per value on one line; the
     note, when present, follows on a second line as [choice: …].
@@ -123,10 +116,8 @@ module type SESSION = sig
   (** One persistent engine.  Not domain-safe: submit from one domain
       at a time (a server serialises jobs per session). *)
 
-  (** [create ?label ()] opens a session.  [label] (see
-      {!fresh_session_label}) tags the session's runs on the
-      [qdt.backend.runs] metric; omit it for untagged one-shot use. *)
-  val create : ?label:string -> unit -> t
+  (** [create ()] opens a session. *)
+  val create : unit -> t
 
   (** [submit session c job] executes [job] on circuit [c], or returns
       the typed error {!admit} gives for it (a closed session

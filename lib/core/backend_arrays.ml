@@ -25,12 +25,11 @@ module Session = struct
     }
 
   type t = {
-    label : string option;
     mutable closed : bool;
     mutable sv : Sv.t option;  (** reused when the qubit count matches *)
   }
 
-  let create ?label () = { label; closed = false; sv = None }
+  let create () = { closed = false; sv = None }
   let close t = t.closed <- true
 
   let acquire t n =
@@ -65,7 +64,7 @@ module Session = struct
   let submit t c job =
     let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
     Ok
-      (Backend.timed ~name ~prefix:"arrays" ?session:t.label job (fun () ->
+      (Backend.timed ~name ~prefix:"arrays" job (fun () ->
            match job with
            | Job.Full_state -> Job.State (Sv.to_vec (run_in t ~seed:0 c))
            | Job.Amplitude k -> Job.Amplitude_of (Sv.amplitude (run_in t ~seed:0 c) k)

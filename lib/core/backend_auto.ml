@@ -105,12 +105,11 @@ module Session = struct
   type opened = Opened : (module Backend.SESSION with type t = 's) * 's -> opened
 
   type t = {
-    label : string option;
     mutable closed : bool;
     subs : (string, opened) Hashtbl.t;  (** one engine per routed backend *)
   }
 
-  let create ?label () = { label; closed = false; subs = Hashtbl.create 7 }
+  let create () = { closed = false; subs = Hashtbl.create 7 }
 
   let close t =
     if not t.closed then begin
@@ -122,7 +121,7 @@ module Session = struct
     match Hashtbl.find_opt t.subs S.name with
     | Some o -> o
     | None ->
-        let o = Opened ((module S), S.create ?label:t.label ()) in
+        let o = Opened ((module S), S.create ()) in
         Hashtbl.add t.subs S.name o;
         o
 

@@ -30,14 +30,13 @@ module Session = struct
 
   type t = {
     mgr : Pkg.t;  (** shared across every job of the session *)
-    label : string option;
     mutable closed : bool;
     mutable mark : Pkg.cache_stats;  (** counter snapshot at the last job boundary *)
   }
 
-  let create ?label () =
+  let create () =
     let mgr = Pkg.create () in
-    { mgr; label; closed = false; mark = Pkg.cache_stats mgr }
+    { mgr; closed = false; mark = Pkg.cache_stats mgr }
 
   let close t = t.closed <- true
 
@@ -100,45 +99,38 @@ module Session = struct
   let submit t c job =
     let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
     let (st, peak, payload), stats =
-      Backend.timed ~name ~prefix:"dd" ?session:t.label job (fun () ->
+      Backend.timed ~name ~prefix:"dd" job (fun () ->
           match job with
-          | Job.Full_state | Job.Amplitude _ ->
+          | Job.Full_state ->
               let st, peak = run_tracked t.mgr ~seed:0 c in
-              (st, peak, None)
+              (st, peak, Job.State (Sim.to_vec st))
+          | Job.Amplitude k ->
+              let st, peak = run_tracked t.mgr ~seed:0 c in
+              (st, peak, Job.Amplitude_of (Sim.amplitude st k))
           | Job.Sample { seed; shots } -> (
               match Shot_engine.plan c with
               | Shot_engine.Static_unitary ->
                   let st, peak = run_tracked t.mgr ~seed c in
-                  (st, peak, Some (Job.Counts (Sim.sample ~seed:(seed + 1) st ~shots)))
+                  (st, peak, Job.Counts (Sim.sample ~seed:(seed + 1) st ~shots))
               | Shot_engine.Static_final { unitary; map } ->
                   let st, peak = run_tracked t.mgr ~seed unitary in
-                  ( st,
-                    peak,
-                    Some
-                      (Job.Counts
-                         (Shot_engine.remap_counts ~map
-                            (Sim.sample ~seed:(seed + 1) st ~shots))) )
+                  let counts = Sim.sample ~seed:(seed + 1) st ~shots in
+                  (st, peak, Job.Counts (Shot_engine.remap_counts ~map counts))
               | Shot_engine.Dynamic ->
                   let st, peak, counts = run_dynamic t.mgr ~seed ~shots c in
-                  (st, peak, Some (Job.Counts counts)))
+                  (st, peak, Job.Counts counts))
           | Job.Expectation_z { seed; qubit } ->
               let st, peak = run_tracked t.mgr ~seed c in
-              (st, peak, Some (Job.Expectation (Sim.expectation_z st qubit))))
+              (st, peak, Job.Expectation (Sim.expectation_z st qubit)))
     in
-    (* Per-job deltas against the last job boundary; stats are read
-       before the dense payload, matching the pre-session evaluation
-       order exactly.  The run's [dd.peak_live_nodes] peak is the value
-       the job reports under that name. *)
+    (* Per-job deltas against the last job boundary.  Reading a dense
+       payload or an amplitude walks the diagram without touching a
+       table, so it leaves these counters as the run left them.  The
+       run's [dd.peak_live_nodes] peak is the value the job reports
+       under that name. *)
     let cs = Pkg.diff_cache_stats ~before:t.mark ~after:(Pkg.cache_stats t.mgr) in
     Qdt_obs.Metrics.raise_to_int p_live_nodes cs.Pkg.peak_nodes;
     let values = values ~peak ~cs st in
-    let payload =
-      match (payload, job) with
-      | Some p, _ -> p
-      | None, Job.Full_state -> Job.State (Sim.to_vec st)
-      | None, Job.Amplitude k -> Job.Amplitude_of (Sim.amplitude st k)
-      | None, (Job.Sample _ | Job.Expectation_z _) -> assert false
-    in
     (* Release the job's pinned root — including the final per-shot
        state of a dynamic run — so the session's unique table is not
        permanently inflated by finished jobs. *)

@@ -3,7 +3,7 @@
    telemetry reports the run's maximal bond dimension and accumulated
    truncation error.  The session wrapper is stateless: an MPS is built
    per job (bond dimensions are circuit-shaped, so there is no buffer
-   worth caching), the session carries only the label and liveness. *)
+   worth caching), the session carries only its liveness. *)
 
 module Decompose = Qdt_compile.Decompose
 module Mps = Qdt_tensornet.Mps
@@ -25,16 +25,16 @@ module Session = struct
       dynamic = false;
     }
 
-  type t = { label : string option; mutable closed : bool }
+  type t = { mutable closed : bool }
 
-  let create ?label () = { label; closed = false }
+  let create () = { closed = false }
   let close t = t.closed <- true
   let run c = Mps.run (Decompose.lower ~basis:Decompose.Two_qubit c)
 
   let submit t c job =
     let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
     let (mps, payload), stats =
-      Backend.timed ~name ~prefix:"mps" ?session:t.label job (fun () ->
+      Backend.timed ~name ~prefix:"mps" job (fun () ->
           let mps = run c in
           ( mps,
             match job with

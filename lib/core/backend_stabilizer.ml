@@ -25,12 +25,11 @@ module Session = struct
     }
 
   type t = {
-    label : string option;
     mutable closed : bool;
     mutable tab : Tableau.t option;  (** reused when the qubit count matches *)
   }
 
-  let create ?label () = { label; closed = false; tab = None }
+  let create () = { closed = false; tab = None }
   let close t = t.closed <- true
 
   let acquire t n =
@@ -60,7 +59,7 @@ module Session = struct
   let submit t c job =
     let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
     let (tab, payload), stats =
-      Backend.timed ~name ~prefix:"stabilizer" ?session:t.label job (fun () ->
+      Backend.timed ~name ~prefix:"stabilizer" job (fun () ->
           match job with
           | Job.Full_state | Job.Amplitude _ ->
               (* declined by [admit]: tableaus have no amplitude access *)

@@ -1,7 +1,7 @@
 (* Backend adapter: full tensor-network contraction (Section IV).  Computes
    single quantities by contraction; no sampling, no measurements.  The
    session wrapper is stateless: a network is built and contracted per
-   job, the session carries only the label and liveness. *)
+   job, the session carries only its liveness. *)
 
 module Tn = Qdt_tensornet.Circuit_tn
 
@@ -23,15 +23,15 @@ module Session = struct
       dynamic = false;
     }
 
-  type t = { label : string option; mutable closed : bool }
+  type t = { mutable closed : bool }
 
-  let create ?label () = { label; closed = false }
+  let create () = { closed = false }
   let close t = t.closed <- true
 
   let submit t c job =
     let* () = Backend.admit ~closed:t.closed ~name ~caps:capabilities c job in
     Ok
-      (Backend.timed ~name ~prefix:"tn" ?session:t.label job (fun () ->
+      (Backend.timed ~name ~prefix:"tn" job (fun () ->
            match job with
            | Job.Full_state -> Job.State (fst (Tn.statevector (Tn.of_circuit c)))
            | Job.Amplitude k -> Job.Amplitude_of (fst (Tn.amplitude (Tn.of_circuit c) k))

@@ -69,7 +69,7 @@ module Backend = Backend
       let (module S : Qdt.Backend.SESSION) =
         Option.get (Qdt.Registry.find_session "decision-diagrams")
       in
-      let s = S.create ~label:(Qdt.Backend.fresh_session_label ()) () in
+      let s = S.create () in
       let r1 = S.submit s circuit Qdt.Job.Full_state in
       let r2 = S.submit s circuit (Qdt.Job.Sample { seed = 0; shots = 100 }) in
       S.close s

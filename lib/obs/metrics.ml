@@ -39,9 +39,9 @@ let num_buckets = 48
 (* A labeled instrument is an ordinary instrument registered under a
    canonical encoded key [name{k="v",k2="v2"}] (labels sorted by key,
    values escaped) — so snapshots, diffs and to_json treat the
-   whole series as one named cell and need no label awareness.  The
-   [series_index] keeps the structured (base, labels) pair per encoded
-   key for the Prometheus renderer.
+   whole series as one named cell and need no label awareness.  The key
+   is the series' one record: it is already exposition syntax, so the
+   Prometheus renderer recovers base and labels by splitting it.
 
    Cardinality is the caller's contract (DESIGN.md, "label cardinality
    rules"): label values must come from small closed sets (backend names,
@@ -100,9 +100,15 @@ let encode_series base labels =
   | [] -> base
   | sorted -> base ^ "{" ^ label_pairs sorted ^ "}"
 
-(* encoded key -> (base name, sorted labels); guarded by [mu]. *)
-let series_index : (string, string * (string * string) list) Hashtbl.t =
-  Hashtbl.create 64
+(* Decompose a series key into (base name, rendered label pairs) by
+   splitting at its first '{': the encoded form is already exposition
+   syntax, so the Prometheus renderer re-emits the pairs verbatim. *)
+let split_series key =
+  let n = String.length key in
+  match String.index_opt key '{' with
+  | Some i when n > i + 1 && key.[n - 1] = '}' ->
+      (String.sub key 0 i, String.sub key (i + 1) (n - i - 2))
+  | _ -> (key, "")
 
 (* base name -> number of registered series; guarded by [mu]. *)
 let family_size : (string, int) Hashtbl.t = Hashtbl.create 64
@@ -126,18 +132,17 @@ type instrument = C of counter | G of gauge | H of histogram | P of peak
 
 let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-(* Called under [mu] when [key] is fresh: enforce the per-family series
-   cap and record the structured labels for the Prometheus renderer. *)
-let admit_series ~base ~labels key =
-  (match Hashtbl.find_opt family_size base with
+(* Called under [mu] when a series of [base] is fresh: enforce the
+   per-family series cap. *)
+let admit_series base =
+  match Hashtbl.find_opt family_size base with
   | Some n when n >= max_series_per_family ->
       invalid_arg
         (Printf.sprintf
            "Qdt_obs.Metrics: label cardinality cap (%d series) exceeded for %S"
            max_series_per_family base)
   | Some n -> Hashtbl.replace family_size base (n + 1)
-  | None -> Hashtbl.add family_size base 1);
-  if labels <> [] then Hashtbl.replace series_index key (base, labels)
+  | None -> Hashtbl.add family_size base 1
 
 let kind_name = function
   | C _ -> "counter"
@@ -148,16 +153,13 @@ let kind_name = function
 (* Get-or-create the series [base{labels}]: [make] builds a fresh
    instrument, [classify] unwraps one of the kind the caller asked for. *)
 let get_or_register ~base ~labels make classify =
-  let labels = canonical_labels base labels in
-  let key =
-    match labels with [] -> base | _ -> base ^ "{" ^ label_pairs labels ^ "}"
-  in
+  let key = encode_series base labels in
   locked @@ fun () ->
   let i =
     match Hashtbl.find_opt registry key with
     | Some i -> i
     | None ->
-        admit_series ~base ~labels key;
+        admit_series base;
         let i = make key in
         Hashtbl.replace registry key i;
         i
@@ -220,12 +222,7 @@ let remove name =
   locked @@ fun () ->
   if Hashtbl.mem registry name then begin
     Hashtbl.remove registry name;
-    let base =
-      match Hashtbl.find_opt series_index name with
-      | Some (b, _) -> b
-      | None -> name
-    in
-    Hashtbl.remove series_index name;
+    let base = fst (split_series name) in
     match Hashtbl.find_opt family_size base with
     | Some n when n > 1 -> Hashtbl.replace family_size base (n - 1)
     | Some _ -> Hashtbl.remove family_size base
@@ -355,42 +352,6 @@ let reset_peaks () =
     (fun _ i -> match i with P p -> Atomic.set p.level 0.0 | _ -> ())
     registry
 
-(* Percentile estimation from the log2 buckets: nearest rank, then
-   linear interpolation between the selected bucket's edges.  Bucket
-   [i >= 1] holds integer observations in [2^(i-1), 2^i - 1]; its upper
-   edge is clamped to the tracked maximum (for the overflow bucket the
-   maximum IS the upper edge), so the estimate stays inside the observed
-   range.  Worst-case error is the bucket width — a factor of 2 — which
-   is the price of never keeping raw samples. *)
-let estimate_percentile v p =
-  match v with
-  | Counter_v _ | Gauge_v _ ->
-      invalid_arg "Qdt_obs.Metrics.estimate_percentile: not a histogram"
-  | Histogram_v { count; max_value; buckets; _ } ->
-      if Float.is_nan p || p < 0.0 || p > 100.0 then
-        invalid_arg "Qdt_obs.Metrics.estimate_percentile: p outside [0, 100]";
-      if count <= 0 then
-        invalid_arg "Qdt_obs.Metrics.estimate_percentile: empty histogram";
-      let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int count))) in
-      let nb = Array.length buckets in
-      let rec find i cum =
-        if i >= nb then max_value
-        else if buckets.(i) > 0 && cum + buckets.(i) >= rank then begin
-          if i = 0 then 0
-          else begin
-            let lo = 1 lsl (i - 1) in
-            let hi =
-              if i = nb - 1 then max max_value lo
-              else min ((1 lsl i) - 1) max_value
-            in
-            let frac = float_of_int (rank - cum) /. float_of_int buckets.(i) in
-            lo + int_of_float (Float.round (frac *. float_of_int (hi - lo)))
-          end
-        end
-        else find (i + 1) (cum + buckets.(i))
-      in
-      find 0 0
-
 (* [snapshot] already sorts, but the renderers also accept hand-assembled
    or [diff]-produced lists — sort here too so every rendering
    (BENCH_*.json, baselines) is deterministic by construction. *)
@@ -443,20 +404,6 @@ let sanitize_metric_name s =
   in
   if mapped = "" then "_"
   else match mapped.[0] with '0' .. '9' -> "_" ^ mapped | _ -> mapped
-
-(* Decompose a snapshot key into (base name, rendered label pairs).
-   Registered series resolve through [series_index]; for hand-assembled
-   keys fall back to splitting at the first '{' — the encoded form is
-   already valid exposition syntax, so re-emitting it verbatim is safe. *)
-let split_series key =
-  match locked (fun () -> Hashtbl.find_opt series_index key) with
-  | Some (base, labels) -> (base, label_pairs labels)
-  | None -> (
-      let n = String.length key in
-      match String.index_opt key '{' with
-      | Some i when n > i + 1 && key.[n - 1] = '}' ->
-          (String.sub key 0 i, String.sub key (i + 1) (n - i - 2))
-      | _ -> (key, ""))
 
 let prom_float v =
   if Float.is_nan v then "NaN"

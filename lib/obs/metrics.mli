@@ -3,7 +3,9 @@
 
     Design constraints (see DESIGN.md, "Observability"):
     - instruments are created once (usually at module initialisation) and
-      held in a binding, so the hot path never performs a name lookup;
+      held in a binding, so an instrumented site performs no name lookup
+      (a [*_with] call per event, as [Backend.timed] makes once per job,
+      looks its series up by key);
     - every recording operation starts with a single check of the global
       enabled flag and allocates nothing — when metrics are disabled the
       cost is one load and one branch.
@@ -129,17 +131,6 @@ val peaks : unit -> (string * float) list
 
 (** Zero every peak and nothing else ({!Report} scopes peaks to a run). *)
 val reset_peaks : unit -> unit
-
-(** [estimate_percentile v p] — approximate [p]-th percentile
-    ([0 <= p <= 100]) of a [Histogram_v] snapshot value, by nearest rank
-    with linear interpolation inside the selected log₂ bucket.  The
-    bucket's upper edge is clamped to the tracked maximum, so the
-    estimate never exceeds an observed value; precision is bounded by
-    the bucket width (a factor of 2), which is what lets a server report
-    p50/p99 latencies straight from the registry without keeping raw
-    samples.  Raises [Invalid_argument] on a non-histogram value, an
-    empty histogram, or [p] outside the range. *)
-val estimate_percentile : value -> float -> int
 
 (** JSON object [{ "name": value, ... }]; histograms carry their buckets.
     Keys are sorted by name regardless of the input order. *)

@@ -2,7 +2,6 @@
    compute happens server-side on its worker domains), so systhreads on
    one domain are exactly right here. *)
 
-module Metrics = Qdt_obs.Metrics
 module Clock = Qdt_obs.Clock
 module Json = Qdt_obs.Json
 
@@ -58,13 +57,12 @@ let request_body ~qasm ~backend ~session ~kind ~seed =
     | None -> "")
     (job_json kind ~seed)
 
-let h_latency = Metrics.histogram "qdt.loadgen.latency_ns"
-
+(* One client's own record; [t_latencies] holds each successful job's
+   round trip in ns. *)
 type tally = {
-  mutable t_ok : int;
   mutable t_failed : int;
   mutable t_retried : int;
-  mutable t_max_ns : int;
+  mutable t_latencies : int list;
 }
 
 let client_thread ~host ~port ~backend ~use_sessions ~mix ~qasm ~seed
@@ -100,10 +98,7 @@ let client_thread ~host ~port ~backend ~use_sessions ~mix ~qasm ~seed
             let t0 = Clock.now_ns () in
             match Client.request c ~meth:"POST" ~path:"/v1/jobs" ~body () with
             | Ok (200, _, _) ->
-                let latency = Clock.now_ns () - t0 in
-                Metrics.observe h_latency latency;
-                if latency > tally.t_max_ns then tally.t_max_ns <- latency;
-                tally.t_ok <- tally.t_ok + 1
+                tally.t_latencies <- (Clock.now_ns () - t0) :: tally.t_latencies
             | Ok (429, headers, _) ->
                 tally.t_retried <- tally.t_retried + 1;
                 let wait =
@@ -132,12 +127,8 @@ let run ?(host = "127.0.0.1") ?(port = 8177) ?(backend = "decision-diagrams")
     ?qasm ?(seed = 0) ~clients ~jobs_per_client () =
   let qasm = match qasm with Some q -> q | None -> default_qasm 8 in
   let mix = if mix = [] then [ `Sample ] else mix in
-  let prev = Metrics.enabled () in
-  Metrics.set_enabled true;
-  let before = Metrics.snapshot () in
   let tallies =
-    Array.init clients (fun _ ->
-        { t_ok = 0; t_failed = 0; t_retried = 0; t_max_ns = 0 })
+    Array.init clients (fun _ -> { t_failed = 0; t_retried = 0; t_latencies = [] })
   in
   let t0 = Clock.now_ns () in
   let threads =
@@ -149,17 +140,16 @@ let run ?(host = "127.0.0.1") ?(port = 8177) ?(backend = "decision-diagrams")
           ())
   in
   List.iter Thread.join threads;
-  let wall_s = Qdt_obs.Clock.ns_to_s (Clock.now_ns () - t0) in
-  let diff = Metrics.diff ~before ~after:(Metrics.snapshot ()) in
-  Metrics.set_enabled prev;
-  let p50, p99 =
-    match List.assoc_opt "qdt.loadgen.latency_ns" diff with
-    | Some (Metrics.Histogram_v h as v) when h.count > 0 ->
-        (Metrics.estimate_percentile v 50.0, Metrics.estimate_percentile v 99.0)
-    | _ -> (0, 0)
+  let wall_s = Clock.ns_to_s (Clock.now_ns () - t0) in
+  let latencies =
+    Array.of_list
+      (List.concat_map (fun x -> List.map float_of_int x.t_latencies) (Array.to_list tallies))
+  in
+  let ok = Array.length latencies in
+  let percentile p =
+    if ok = 0 then 0 else int_of_float (Float.round (Qdt_obs.Stats.percentile ~p latencies))
   in
   let fold f = Array.fold_left (fun acc x -> acc + f x) 0 tallies in
-  let ok = fold (fun x -> x.t_ok) in
   {
     clients;
     jobs = clients * jobs_per_client;
@@ -168,7 +158,7 @@ let run ?(host = "127.0.0.1") ?(port = 8177) ?(backend = "decision-diagrams")
     retried_429 = fold (fun x -> x.t_retried);
     wall_s;
     jobs_per_s = (if wall_s > 0.0 then float_of_int ok /. wall_s else 0.0);
-    p50_ns = p50;
-    p99_ns = p99;
-    max_ns = Array.fold_left (fun m x -> max m x.t_max_ns) 0 tallies;
+    p50_ns = percentile 50.0;
+    p99_ns = percentile 99.0;
+    max_ns = percentile 100.0;
   }

@@ -2,11 +2,11 @@
     e23 drive the server through this.
 
     [clients] threads each open one keep-alive connection and push
-    [jobs_per_client] jobs drawn round-robin from [mix].  Per-job
-    latencies go into the [qdt.loadgen.latency_ns] histogram; the
-    summary's p50/p99 come straight from the registry via
-    {!Qdt_obs.Metrics.estimate_percentile} on the run-scoped diff, so
-    the numbers are the same ones a scraper would compute.  A 429 is
+    [jobs_per_client] jobs drawn round-robin from [mix].  Each client
+    keeps its successful jobs' latencies, and the summary's p50, p99 and
+    max are exact percentiles of them ({!Qdt_obs.Stats.percentile}).
+    The load generator records nothing in the {!Qdt_obs.Metrics}
+    registry, so an in-process server's metrics stay its own.  A 429 is
     backpressure, not failure: the client honours [Retry-After] and
     retries (counted in [retried_429]). *)
 
@@ -20,7 +20,7 @@ type summary = {
   retried_429 : int;
   wall_s : float;
   jobs_per_s : float;  (** successful jobs per wall second *)
-  p50_ns : int;
+  p50_ns : int;  (** latency percentiles of the [ok] jobs; 0 when none succeeded *)
   p99_ns : int;
   max_ns : int;
 }

@@ -39,7 +39,7 @@ let int_field ?default obj name =
       | Some f when Float.is_integer f && Float.abs f <= max_exact_int -> Ok (int_of_float f)
       | _ -> Error (Printf.sprintf "field %S: expected an integer" name))
 
-(* The longest budget a job may ask for: one day.  The server waits on
+(* The longest budget a job may run under: one day.  The server waits on
    [Unix.select], which rejects waits of 2^31 s or more, and converts the
    budget to nanoseconds in an int. *)
 let max_timeout_ms = 86_400_000

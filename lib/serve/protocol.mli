@@ -28,6 +28,10 @@ type job_request = {
   timeout_ms : int option;
 }
 
+(** The longest job budget, in ms: one day (86 400 000).  It bounds both
+    a job's [timeout_ms] and the server's default budget. *)
+val max_timeout_ms : int
+
 (** Parse a request body.  The error string is user-facing (it goes into
     the 400 response). *)
 val job_request_of_string : string -> (job_request, string) result

@@ -626,6 +626,12 @@ let rec accept_loop t =
 (* ------------------------------------------------------------------ *)
 
 let start cfg =
+  if cfg.default_timeout_ms < 1 || cfg.default_timeout_ms > Protocol.max_timeout_ms then
+    invalid_arg
+      (Printf.sprintf "default job timeout %d ms is outside [1, %d] (one day)"
+         cfg.default_timeout_ms Protocol.max_timeout_ms);
+  if cfg.queue_depth < 1 then
+    invalid_arg (Printf.sprintf "queue depth %d is below 1" cfg.queue_depth);
   if Sys.os_type = "Unix" then
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -24,8 +24,9 @@ type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port} *)
   workers : int;  (** worker domains executing jobs *)
-  queue_depth : int;  (** queued jobs beyond which submits get 429 *)
-  default_timeout_ms : int;  (** per-job wall-clock budget *)
+  queue_depth : int;  (** queued jobs beyond which submits get 429; at least 1 *)
+  default_timeout_ms : int;
+      (** per-job wall-clock budget, in [[1, ]{!Protocol.max_timeout_ms}[]] *)
   max_sessions : int;  (** warm-session cap (LRU eviction past it) *)
   access_log : string option;  (** JSONL access log path *)
 }
@@ -35,7 +36,9 @@ val default_config : config
 type t
 
 (** Bind, spawn the worker domains and the accept loop, and return.
-    Raises [Unix.Unix_error] when the address cannot be bound. *)
+    Raises [Invalid_argument], before binding anything, when
+    [default_timeout_ms] or [queue_depth] is outside its range, and
+    [Unix.Unix_error] when the address cannot be bound. *)
 val start : config -> t
 
 (** The bound port (useful with [port = 0]). *)

@@ -87,9 +87,7 @@ let entry_for t ~session ~engine:(module S : Qdt.Backend.SESSION) =
         (Backend_mismatch
            { session; existing = e.backend; requested = S.name })
   | None ->
-      let packed =
-        Packed ((module S), S.create ~label:(Qdt.Backend.fresh_session_label ()) ())
-      in
+      let packed = Packed ((module S), S.create ()) in
       let e =
         { backend = S.name; packed; emu = Mutex.create (); last_used = t.clock }
       in

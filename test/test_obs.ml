@@ -624,70 +624,6 @@ let test_exporters_every_backend =
   validate_json ~what:"metrics json" (Metrics.to_json (Metrics.snapshot ()))
 
 (* ------------------------------------------------------------------ *)
-(* Percentile estimation from log2 buckets (ISSUE 10 satellite 1)      *)
-(* ------------------------------------------------------------------ *)
-
-let histogram_value name =
-  match List.assoc_opt name (Metrics.snapshot ()) with
-  | Some (Metrics.Histogram_v _ as v) -> v
-  | _ -> Alcotest.failf "histogram %s missing from snapshot" name
-
-let test_estimate_percentile_uniform =
-  isolated @@ fun () ->
-  let h = Metrics.histogram "test.pct.uniform" in
-  for v = 1 to 1024 do
-    Metrics.observe h v
-  done;
-  let v = histogram_value "test.pct.uniform" in
-  (* Uniform 1..1024: true p50 = 512.5, true p99 = 1014.  Nearest rank
-     lands in the [512, 1024) bucket; interpolation pins both within a
-     hair of the exact answer. *)
-  Alcotest.(check int) "p50" 513 (Metrics.estimate_percentile v 50.0);
-  Alcotest.(check int) "p99" 1014 (Metrics.estimate_percentile v 99.0);
-  Alcotest.(check int) "p100 = max" 1024 (Metrics.estimate_percentile v 100.0);
-  let p1 = Metrics.estimate_percentile v 1.0 in
-  if p1 < 1 || p1 > 16 then Alcotest.failf "p1 = %d out of low range" p1;
-  Metrics.remove "test.pct.uniform"
-
-let test_estimate_percentile_constant =
-  isolated @@ fun () ->
-  let h = Metrics.histogram "test.pct.constant" in
-  for _ = 1 to 1000 do
-    Metrics.observe h 100
-  done;
-  let v = histogram_value "test.pct.constant" in
-  (* All mass in the [64, 128) bucket with tracked max 100: estimates
-     interpolate inside [64, 100] and never exceed an observed value —
-     precision is the bucket width, which is the documented contract. *)
-  let p50 = Metrics.estimate_percentile v 50.0 in
-  if p50 < 64 || p50 > 100 then Alcotest.failf "p50 = %d outside bucket" p50;
-  Alcotest.(check int) "p99 clamps to max" 100
-    (Metrics.estimate_percentile v 99.0);
-  Metrics.remove "test.pct.constant"
-
-let test_estimate_percentile_errors =
-  isolated @@ fun () ->
-  let h = Metrics.histogram "test.pct.errors" in
-  let v () = histogram_value "test.pct.errors" in
-  let expect_invalid what f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s should raise Invalid_argument" what
-  in
-  expect_invalid "empty histogram" (fun () ->
-      Metrics.estimate_percentile (v ()) 50.0);
-  Metrics.observe h 7;
-  expect_invalid "p out of range" (fun () ->
-      Metrics.estimate_percentile (v ()) 101.0);
-  expect_invalid "negative p" (fun () ->
-      Metrics.estimate_percentile (v ()) (-1.0));
-  expect_invalid "counter value" (fun () ->
-      Metrics.estimate_percentile (Metrics.Counter_v 3) 50.0);
-  Alcotest.(check int) "single observation" 7
-    (Metrics.estimate_percentile (v ()) 50.0);
-  Metrics.remove "test.pct.errors"
-
-(* ------------------------------------------------------------------ *)
 (* Prometheus exposition parser (Qdt_prom.Prom)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -772,14 +708,6 @@ let () =
         ] );
       ( "prometheus",
         [ Alcotest.test_case "exposition format" `Quick test_render_prometheus ] );
-      ( "percentile",
-        [
-          Alcotest.test_case "uniform distribution" `Quick
-            test_estimate_percentile_uniform;
-          Alcotest.test_case "constant distribution" `Quick
-            test_estimate_percentile_constant;
-          Alcotest.test_case "edge cases" `Quick test_estimate_percentile_errors;
-        ] );
       ( "prom parser",
         [
           Alcotest.test_case "round-trip" `Quick test_prom_roundtrip;

@@ -38,6 +38,13 @@ let parse_ok ~what s =
 
 let member_string name j = Option.bind (Json.member name j) Json.to_string
 
+let scrape_metrics c =
+  let status, text = ok_or_fail "metrics" (Client.get c "/metrics") in
+  Alcotest.(check int) "metrics status" 200 status;
+  match Prom.parse text with
+  | Ok fams -> fams
+  | Error e -> Alcotest.failf "/metrics is not valid exposition: %s" e
+
 let job_body ?(backend = "decision-diagrams") ?session ?delay_ms ?timeout_ms
     ~qasm job =
   let field k v = Printf.sprintf ", %s: %s" (Json.string k) v in
@@ -70,7 +77,7 @@ module Slow_engine = struct
 
   type t = { mutable closed : bool }
 
-  let create ?label:_ () = { closed = false }
+  let create () = { closed = false }
   let close t = t.closed <- true
 
   let submit t c job =
@@ -151,6 +158,26 @@ let test_job_and_warm_session () =
   match Option.bind (Json.member "result" j) (member_string "kind") with
   | Some "counts" -> ()
   | _ -> Alcotest.fail "sample job did not return counts"
+
+(* Runs are counted by backend and operation only: a session's own name
+   is in the access log, and no metric label stands in for it. *)
+let test_runs_labels () =
+  with_server @@ fun t ->
+  with_client t @@ fun c ->
+  for _ = 1 to 2 do
+    let body = job_body ~qasm:(ghz 4) ~session:"alice" sample_job in
+    let status, _ = ok_or_fail "job" (Client.post c ~path:"/v1/jobs" ~body) in
+    Alcotest.(check int) "status" 200 status
+  done;
+  match Prom.find "qdt_backend_runs" (scrape_metrics c) with
+  | None -> Alcotest.fail "qdt_backend_runs missing from /metrics"
+  | Some f ->
+      List.iter
+        (fun s ->
+          Alcotest.(check (list string)) "qdt_backend_runs label keys"
+            [ "backend"; "operation" ]
+            (List.sort compare (List.map fst s.Prom.labels)))
+        f.Prom.samples
 
 let test_errors () =
   with_server @@ fun t ->
@@ -278,6 +305,47 @@ let test_timeout_cap () =
   let status, _ = post 86_400_000 in
   Alcotest.(check int) "one day is accepted" 200 status
 
+(* A default budget or queue depth the server cannot honour is refused
+   at start, before anything is bound: past one day [Unix.select] and the
+   ns conversion fail as they do for a job's own budget, and a queue of
+   depth 0 answers every job 429 while /healthz says ok. *)
+let test_start_rejects_bad_config () =
+  let port =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close s) @@ fun () ->
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd") else 0
+  in
+  let before = open_fds () in
+  let timeout ms = { Server.default_config with Server.default_timeout_ms = ms } in
+  List.iter
+    (fun (what, cfg) ->
+      match Server.start { cfg with Server.port } with
+      | t ->
+          Server.stop t;
+          Alcotest.failf "%s: the server started" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("timeout 0 ms", timeout 0);
+      ("timeout 86400001 ms", timeout 86_400_001);
+      ("timeout 3e12 ms", timeout 3_000_000_000_000);
+      ("queue depth 0", { Server.default_config with Server.queue_depth = 0 });
+    ];
+  Alcotest.(check int) "no descriptor opened" before (open_fds ());
+  (* Nothing holds the port: a fresh socket binds it. *)
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close s) (fun () ->
+      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, port)));
+  with_server ~cfg:(timeout 86_400_000) @@ fun t ->
+  with_client t @@ fun c ->
+  let status, _ =
+    ok_or_fail "job" (Client.post c ~path:"/v1/jobs" ~body:(job_body ~qasm:(ghz 3) sample_job))
+  in
+  Alcotest.(check int) "a one-day default still serves" 200 status
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry plane                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -290,13 +358,7 @@ let test_metrics_exposition () =
   (* OCaml 5 publishes heap sizes to [Gc.quick_stat] at minor
      collections; one here makes the heap watermark nonzero. *)
   Gc.minor ();
-  let status, text = ok_or_fail "metrics" (Client.get c "/metrics") in
-  Alcotest.(check int) "status" 200 status;
-  let fams =
-    match Prom.parse text with
-    | Ok fams -> fams
-    | Error e -> Alcotest.failf "/metrics is not valid exposition: %s" e
-  in
+  let fams = scrape_metrics c in
   let family name =
     match Prom.find name fams with
     | Some f -> f
@@ -379,6 +441,36 @@ let test_report_endpoint () =
       if String.starts_with ~prefix:"qdt.watermark." k then
         Alcotest.failf "mirrored key %s in the report" k)
     (metrics @ watermarks)
+
+(* The load generator measures its own clients: it registers nothing in
+   the process-wide registry an in-process server exports, leaves the
+   metrics switch as it found it, and its percentiles are exact order
+   statistics of the latencies it saw. *)
+let test_loadgen_own_latencies () =
+  with_server @@ fun t ->
+  let enabled = Metrics.enabled () in
+  let clients = 2 and jobs_per_client = 4 in
+  let { Qdt_serve.Loadgen.ok; p50_ns; p99_ns; max_ns; _ } =
+    Qdt_serve.Loadgen.run ~port:(Server.port t) ~qasm:(ghz 3) ~clients ~jobs_per_client ()
+  in
+  Alcotest.(check bool) "metrics switch untouched" enabled (Metrics.enabled ());
+  Alcotest.(check int) "every job ok" (clients * jobs_per_client) ok;
+  if not (0 < p50_ns && p50_ns <= p99_ns && p99_ns <= max_ns) then
+    Alcotest.failf "percentiles out of order: p50 %d, p99 %d, max %d" p50_ns p99_ns max_ns;
+  (* No series of any name that mentions the load generator. *)
+  let mentions_loadgen s =
+    let n = String.length "loadgen" in
+    let rec at i = i + n <= String.length s && (String.sub s i n = "loadgen" || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (k, _) -> if mentions_loadgen k then Alcotest.failf "key %s in the registry" k)
+    (Metrics.snapshot ());
+  with_client t @@ fun c ->
+  List.iter
+    (fun f ->
+      if mentions_loadgen f.Prom.name then Alcotest.failf "family %s on /metrics" f.Prom.name)
+    (scrape_metrics c)
 
 let test_access_log_and_spans () =
   let log = Filename.temp_file "qdt_access" ".jsonl" in
@@ -637,6 +729,8 @@ let () =
           Alcotest.test_case "healthz + keep-alive" `Quick test_healthz;
           Alcotest.test_case "job + warm session" `Quick
             test_job_and_warm_session;
+          Alcotest.test_case "runs counted by backend and operation" `Quick
+            test_runs_labels;
           Alcotest.test_case "typed errors" `Quick test_errors;
           Alcotest.test_case "out-of-range amplitude" `Quick
             test_out_of_range_amplitude;
@@ -648,6 +742,8 @@ let () =
         [
           Alcotest.test_case "metrics exposition" `Quick test_metrics_exposition;
           Alcotest.test_case "report snapshots" `Quick test_report_endpoint;
+          Alcotest.test_case "loadgen keeps its own latencies" `Quick
+            test_loadgen_own_latencies;
           Alcotest.test_case "access log + spans" `Quick
             test_access_log_and_spans;
         ] );
@@ -661,6 +757,8 @@ let () =
           Alcotest.test_case "shot cap 422" `Quick test_shot_cap;
           Alcotest.test_case "integer fields in exact range" `Quick test_integer_fields;
           Alcotest.test_case "timeout_ms cap" `Quick test_timeout_cap;
+          Alcotest.test_case "start rejects bad config" `Quick
+            test_start_rejects_bad_config;
         ] );
       ( "sessions",
         [
