@@ -11,19 +11,21 @@ type t = { num_qubits : int; ops : op array; gates : int }
 let passes t = Array.length t.ops
 let gates t = t.gates
 
-(* Pass costs in tenths of a general 2×2 pass, measured on 12- to
-   16-qubit states: a dense 4×4 pass costs about 1.7 of them, a
-   diagonal or anti-diagonal 2×2 (the kernel's fast paths) about 0.6,
-   and a one-control gate or a swap about 0.5.  So a 4×4 pays off only
-   when it replaces more than that: QFT's controlled phase plus one
-   Hadamard (1.5) runs faster as two passes. *)
-let cost_4x4 = 17
-let cost_two_qubit = 5
+(* Pass costs in tenths of a general 2×2 pass, measured on a 16-qubit
+   state at one job (medians of five interleaved rounds over all 16
+   targets): a dense 4×4 pass costs about 1.9 of them, a diagonal or
+   anti-diagonal 2×2 (the kernel's fast paths) about 0.7, and a
+   one-control gate or a swap about 0.3 (they visit a quarter of the
+   amplitudes).  So a 4×4 pays off only when it replaces more than
+   that: QFT's controlled phase plus one Hadamard (1.3) runs faster as
+   two passes. *)
+let cost_4x4 = 19
+let cost_two_qubit = 3
 
 let cost_2x2 m =
   let u = Mat.buffer m in
   let zero i = u.(i) = 0.0 && u.(i + 1) = 0.0 in
-  if (zero 2 && zero 4) || (zero 0 && zero 6) then 6 else 10
+  if (zero 2 && zero 4) || (zero 0 && zero 6) then 7 else 10
 
 (* [mul2 a b] — the 2×2 product a·b, fresh. *)
 let mul2 a b =

@@ -12,9 +12,9 @@
       flushes its wires and passes through unchanged;
     - a block runs as one 4×4 pass ({!Statevector.apply_matrix2}) only
       when the passes it replaces would cost more, by measured kernel
-      costs: a 4×4 pass costs about 1.7 general 2×2 passes, a diagonal
-      or anti-diagonal 2×2 about 0.6, a one-control gate or swap about
-      0.5.  Otherwise its gates keep their own kernels, in order: a lone
+      costs: a 4×4 pass costs about 1.9 general 2×2 passes, a diagonal
+      or anti-diagonal 2×2 about 0.7, a one-control gate or swap about
+      0.3.  Otherwise its gates keep their own kernels, in order: a lone
       two-qubit gate always does, and so does QFT's controlled phase
       with one Hadamard.
 

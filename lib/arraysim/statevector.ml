@@ -62,19 +62,17 @@ let probability sv k =
 
 let probabilities sv = Array.init (1 lsl sv.n) (probability sv)
 
-(* Every [for k = 0 to size-1] sweep below goes through
-   [Qdt_par.parallel_for] with the default chunk (2^14 indices): states of
-   ≤ 14 qubits fit in one chunk and run serially inline (zero overhead,
-   bit-identical to the pre-parallel code), larger states split across the
-   domain pool.  The sweeps are race-free under arbitrary chunking because
-   only base indices (target bit(s) 0, controls satisfied) touch the
-   buffer, and an index's partners are never base indices of any other
-   iteration.
+(* The whole-state sweeps below (reductions, projections, rescaling) go
+   through [Qdt_par.parallel_for] with the default chunk (2^14 indices):
+   states of <= 14 qubits fit in one chunk and run serially inline, larger
+   states split across the domain pool.  The gate kernels chunk their
+   base indices the same way (see [sweep_bases]).
 
    Reductions use [chunked_sum]: one partial per fixed-boundary chunk,
-   folded in chunk order, so the result is identical at any job count
-   >= 2; at jobs = 1 the legacy single-accumulator order is preserved
-   exactly. *)
+   folded in chunk order.  [parallel_for] calls the body once per chunk
+   on those boundaries whether the chunks run on the pool or on the
+   caller (nested or busy), so the result is identical at any job count
+   >= 2; at jobs = 1 the single-accumulator order is kept exactly. *)
 let par_chunk = Qdt_par.default_chunk
 
 let chunked_sum n partial =
@@ -110,77 +108,118 @@ let norm2 sv =
 
 let norm sv = Float.sqrt (norm2 sv)
 
-let control_mask controls =
-  List.fold_left (fun mask q -> mask lor (1 lsl q)) 0 controls
+(* Gate kernels visit base indices only.  [fixed] holds a kernel's
+   pinned bits: its gate bit(s), 0 at a base index, and its control
+   bits, 1 there.  The base indices, in increasing order, are the
+   reduced indices 0 .. 2^(n - |fixed|) - 1 with a zero inserted at each
+   fixed position ([spread]), OR the control mask; [next] steps from one
+   to the next, because setting the fixed bits first lets the +1's carry
+   run through them.  No two base indices share an amplitude, so any
+   chunking of the reduced range is race-free. *)
+let spread fixed r =
+  let k = ref r and f = ref fixed in
+  while !f <> 0 do
+    let low = !f land (- !f) in
+    k := ((!k land lnot (low - 1)) lsl 1) lor (!k land (low - 1));
+    f := !f land (!f - 1)
+  done;
+  !k
 
-(* Core kernel: iterate over all basis indices with target bit 0 and all
-   control bits 1, updating the (k, k + 2^target) amplitude pair over the
-   raw floats.
+let[@inline] next fixed k = ((k lor fixed) + 1) land lnot fixed
+
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+(* The control mask of a kernel whose gate acts on the [gate] bits.
+   Controls must be qubits of the state, distinct from the gate's. *)
+let control_mask sv ~gate controls =
+  let cmask = List.fold_left (fun mask q -> mask lor (1 lsl q)) 0 controls in
+  if cmask land gate <> 0 || (cmask lor gate) lsr sv.n <> 0 then
+    invalid_arg "Statevector: operands out of range or repeated";
+  cmask
+
+(* [sweep_bases sv fixed body] runs [body lo hi] over chunks of the
+   reduced index range of [fixed].  A chunk of [2^14 lsr |fixed|]
+   reduced indices covers one 2^14-index block of the state, so states of
+   <= 14 qubits run inline and 15 and 16 qubits split into 2 and 4
+   chunks of equal work, whichever bits the gate holds. *)
+let sweep_bases sv fixed body =
+  let bits = popcount fixed in
+  Qdt_par.parallel_for ~chunk:(max 1 (par_chunk lsr bits)) 0 (1 lsl (sv.n - bits)) body
+
+(* Core kernel: for every base index k (target bit 0, control bits 1),
+   update the (k, k + 2^target) amplitude pair over the raw floats.
 
    Diagonal (Z, S, T, Rz, phase) and anti-diagonal (X, Y) gates get a fast
    path: one complex multiply per amplitude instead of the full 2x2
-   combine.  The gate constructors in {!Qdt_linalg.Gates} place exact
-   [Cx.zero] in the off/on-diagonal entries, so an exact test suffices —
-   a matrix that is merely numerically close keeps the general kernel. *)
+   combine, and a diagonal entry of exactly 1 is skipped.  The gate
+   constructors in {!Qdt_linalg.Gates} place exact [Cx.zero] in the
+   off/on-diagonal entries, so an exact test suffices — a matrix that is
+   merely numerically close keeps the general kernel.  The matrix is read
+   into locals once per chunk, as in [apply_matrix2]. *)
 let apply_matrix sv m ~controls ~target =
   if Mat.rows m <> 2 || Mat.cols m <> 2 then
     invalid_arg "Statevector.apply_matrix: need a 2x2 matrix";
   let mb = Mat.buffer m in
-  let u00r = mb.(0) and u00i = mb.(1) and u01r = mb.(2) and u01i = mb.(3) in
-  let u10r = mb.(4) and u10i = mb.(5) and u11r = mb.(6) and u11i = mb.(7) in
   let stride = 1 lsl target in
-  let cmask = control_mask controls in
+  let cmask = control_mask sv ~gate:stride controls in
+  let fixed = stride lor cmask in
+  let d = 2 * stride in
   let buf = sv.buf in
-  let size = 1 lsl sv.n in
-  if u01r = 0.0 && u01i = 0.0 && u10r = 0.0 && u10i = 0.0 then begin
+  let zero i = mb.(i) = 0.0 && mb.(i + 1) = 0.0 in
+  if zero 2 && zero 4 then begin
     (* Diagonal: amp(k) picks up u00 or u11 from its target bit alone. *)
-    let skip00 = u00r = 1.0 && u00i = 0.0 in
-    let skip11 = u11r = 1.0 && u11i = 0.0 in
-    Qdt_par.parallel_for ~chunk:par_chunk 0 size (fun lo hi ->
-        for k = lo to hi - 1 do
-          if k land cmask = cmask then
-            if k land stride = 0 then begin
-              if not skip00 then begin
-                let o = 2 * k in
-                let ar = buf.(o) and ai = buf.(o + 1) in
-                buf.(o) <- (u00r *. ar) -. (u00i *. ai);
-                buf.(o + 1) <- (u00r *. ai) +. (u00i *. ar)
-              end
-            end
-            else if not skip11 then begin
-              let o = 2 * k in
-              let ar = buf.(o) and ai = buf.(o + 1) in
-              buf.(o) <- (u11r *. ar) -. (u11i *. ai);
-              buf.(o + 1) <- (u11r *. ai) +. (u11i *. ar)
-            end
+    let skip00 = mb.(0) = 1.0 && mb.(1) = 0.0 in
+    let skip11 = mb.(6) = 1.0 && mb.(7) = 0.0 in
+    sweep_bases sv fixed (fun lo hi ->
+        let u00r = mb.(0) and u00i = mb.(1) and u11r = mb.(6) and u11i = mb.(7) in
+        let k = ref (spread fixed lo) in
+        for _ = lo to hi - 1 do
+          let o = 2 * (!k lor cmask) in
+          if not skip00 then begin
+            let ar = buf.(o) and ai = buf.(o + 1) in
+            buf.(o) <- (u00r *. ar) -. (u00i *. ai);
+            buf.(o + 1) <- (u00r *. ai) +. (u00i *. ar)
+          end;
+          if not skip11 then begin
+            let o = o + d in
+            let ar = buf.(o) and ai = buf.(o + 1) in
+            buf.(o) <- (u11r *. ar) -. (u11i *. ai);
+            buf.(o + 1) <- (u11r *. ai) +. (u11i *. ar)
+          end;
+          k := next fixed !k
         done)
   end
-  else if u00r = 0.0 && u00i = 0.0 && u11r = 0.0 && u11i = 0.0 then
+  else if zero 0 && zero 6 then
     (* Anti-diagonal: the pair swaps with scaling; one multiply each. *)
-    Qdt_par.parallel_for ~chunk:par_chunk 0 size (fun lo hi ->
-        for k = lo to hi - 1 do
-          if k land stride = 0 && k land cmask = cmask then begin
-            let o0 = 2 * k and o1 = 2 * (k + stride) in
-            let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
-            let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
-            buf.(o0) <- (u01r *. a1r) -. (u01i *. a1i);
-            buf.(o0 + 1) <- (u01r *. a1i) +. (u01i *. a1r);
-            buf.(o1) <- (u10r *. a0r) -. (u10i *. a0i);
-            buf.(o1 + 1) <- (u10r *. a0i) +. (u10i *. a0r)
-          end
+    sweep_bases sv fixed (fun lo hi ->
+        let u01r = mb.(2) and u01i = mb.(3) and u10r = mb.(4) and u10i = mb.(5) in
+        let k = ref (spread fixed lo) in
+        for _ = lo to hi - 1 do
+          let o0 = 2 * (!k lor cmask) in
+          let o1 = o0 + d in
+          let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
+          let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
+          buf.(o0) <- (u01r *. a1r) -. (u01i *. a1i);
+          buf.(o0 + 1) <- (u01r *. a1i) +. (u01i *. a1r);
+          buf.(o1) <- (u10r *. a0r) -. (u10i *. a0i);
+          buf.(o1 + 1) <- (u10r *. a0i) +. (u10i *. a0r);
+          k := next fixed !k
         done)
   else
-    Qdt_par.parallel_for ~chunk:par_chunk 0 size (fun lo hi ->
-        for k = lo to hi - 1 do
-          if k land stride = 0 && k land cmask = cmask then begin
-            let o0 = 2 * k and o1 = 2 * (k + stride) in
-            let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
-            let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
-            buf.(o0) <- (u00r *. a0r) -. (u00i *. a0i) +. ((u01r *. a1r) -. (u01i *. a1i));
-            buf.(o0 + 1) <- (u00r *. a0i) +. (u00i *. a0r) +. ((u01r *. a1i) +. (u01i *. a1r));
-            buf.(o1) <- (u10r *. a0r) -. (u10i *. a0i) +. ((u11r *. a1r) -. (u11i *. a1i));
-            buf.(o1 + 1) <- (u10r *. a0i) +. (u10i *. a0r) +. ((u11r *. a1i) +. (u11i *. a1r))
-          end
+    sweep_bases sv fixed (fun lo hi ->
+        let u00r = mb.(0) and u00i = mb.(1) and u01r = mb.(2) and u01i = mb.(3) in
+        let u10r = mb.(4) and u10i = mb.(5) and u11r = mb.(6) and u11i = mb.(7) in
+        let k = ref (spread fixed lo) in
+        for _ = lo to hi - 1 do
+          let o0 = 2 * (!k lor cmask) in
+          let o1 = o0 + d in
+          let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
+          let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
+          buf.(o0) <- (u00r *. a0r) -. (u00i *. a0i) +. ((u01r *. a1r) -. (u01i *. a1i));
+          buf.(o0 + 1) <- (u00r *. a0i) +. (u00i *. a0r) +. ((u01r *. a1i) +. (u01i *. a1r));
+          buf.(o1) <- (u10r *. a0r) -. (u10i *. a0i) +. ((u11r *. a1r) -. (u11i *. a1i));
+          buf.(o1 + 1) <- (u10r *. a0i) +. (u10i *. a0r) +. ((u11r *. a1i) +. (u11i *. a1r));
+          k := next fixed !k
         done)
 
 (* Fused two-qubit kernel: one pass applying a dense 4x4 to every
@@ -196,11 +235,12 @@ let apply_matrix2 sv m ~controls ~q0 ~q1 =
   if q0 = q1 then invalid_arg "Statevector.apply_matrix2: distinct qubits required";
   let mb = Mat.buffer m in
   let b0 = 1 lsl q0 and b1 = 1 lsl q1 in
-  let pair_mask = b0 lor b1 in
-  let cmask = control_mask controls in
+  let cmask = control_mask sv ~gate:(b0 lor b1) controls in
+  let fixed = b0 lor b1 lor cmask in
+  let d1 = 2 * b0 and d2 = 2 * b1 in
+  let d3 = d1 + d2 in
   let buf = sv.buf in
-  let size = 1 lsl sv.n in
-  Qdt_par.parallel_for ~chunk:par_chunk 0 size (fun lo hi ->
+  sweep_bases sv fixed (fun lo hi ->
       let m00r = mb.(0) and m00i = mb.(1) and m01r = mb.(2) and m01i = mb.(3) in
       let m02r = mb.(4) and m02i = mb.(5) and m03r = mb.(6) and m03i = mb.(7) in
       let m10r = mb.(8) and m10i = mb.(9) and m11r = mb.(10) and m11i = mb.(11) in
@@ -209,79 +249,79 @@ let apply_matrix2 sv m ~controls ~q0 ~q1 =
       let m22r = mb.(20) and m22i = mb.(21) and m23r = mb.(22) and m23i = mb.(23) in
       let m30r = mb.(24) and m30i = mb.(25) and m31r = mb.(26) and m31i = mb.(27) in
       let m32r = mb.(28) and m32i = mb.(29) and m33r = mb.(30) and m33i = mb.(31) in
-      for k = lo to hi - 1 do
-        if k land pair_mask = 0 && k land cmask = cmask then begin
-          let o0 = 2 * k
-          and o1 = 2 * (k + b0)
-          and o2 = 2 * (k + b1)
-          and o3 = 2 * (k + b0 + b1) in
-          let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
-          let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
-          let a2r = buf.(o2) and a2i = buf.(o2 + 1) in
-          let a3r = buf.(o3) and a3i = buf.(o3 + 1) in
-          buf.(o0) <-
-            (m00r *. a0r) -. (m00i *. a0i)
-            +. ((m01r *. a1r) -. (m01i *. a1i))
-            +. ((m02r *. a2r) -. (m02i *. a2i))
-            +. ((m03r *. a3r) -. (m03i *. a3i));
-          buf.(o0 + 1) <-
-            (m00r *. a0i) +. (m00i *. a0r)
-            +. ((m01r *. a1i) +. (m01i *. a1r))
-            +. ((m02r *. a2i) +. (m02i *. a2r))
-            +. ((m03r *. a3i) +. (m03i *. a3r));
-          buf.(o1) <-
-            (m10r *. a0r) -. (m10i *. a0i)
-            +. ((m11r *. a1r) -. (m11i *. a1i))
-            +. ((m12r *. a2r) -. (m12i *. a2i))
-            +. ((m13r *. a3r) -. (m13i *. a3i));
-          buf.(o1 + 1) <-
-            (m10r *. a0i) +. (m10i *. a0r)
-            +. ((m11r *. a1i) +. (m11i *. a1r))
-            +. ((m12r *. a2i) +. (m12i *. a2r))
-            +. ((m13r *. a3i) +. (m13i *. a3r));
-          buf.(o2) <-
-            (m20r *. a0r) -. (m20i *. a0i)
-            +. ((m21r *. a1r) -. (m21i *. a1i))
-            +. ((m22r *. a2r) -. (m22i *. a2i))
-            +. ((m23r *. a3r) -. (m23i *. a3i));
-          buf.(o2 + 1) <-
-            (m20r *. a0i) +. (m20i *. a0r)
-            +. ((m21r *. a1i) +. (m21i *. a1r))
-            +. ((m22r *. a2i) +. (m22i *. a2r))
-            +. ((m23r *. a3i) +. (m23i *. a3r));
-          buf.(o3) <-
-            (m30r *. a0r) -. (m30i *. a0i)
-            +. ((m31r *. a1r) -. (m31i *. a1i))
-            +. ((m32r *. a2r) -. (m32i *. a2i))
-            +. ((m33r *. a3r) -. (m33i *. a3i));
-          buf.(o3 + 1) <-
-            (m30r *. a0i) +. (m30i *. a0r)
-            +. ((m31r *. a1i) +. (m31i *. a1r))
-            +. ((m32r *. a2i) +. (m32i *. a2r))
-            +. ((m33r *. a3i) +. (m33i *. a3r))
-        end
+      let k = ref (spread fixed lo) in
+      for _ = lo to hi - 1 do
+        let o0 = 2 * (!k lor cmask) in
+        let o1 = o0 + d1 and o2 = o0 + d2 and o3 = o0 + d3 in
+        let a0r = buf.(o0) and a0i = buf.(o0 + 1) in
+        let a1r = buf.(o1) and a1i = buf.(o1 + 1) in
+        let a2r = buf.(o2) and a2i = buf.(o2 + 1) in
+        let a3r = buf.(o3) and a3i = buf.(o3 + 1) in
+        buf.(o0) <-
+          (m00r *. a0r) -. (m00i *. a0i)
+          +. ((m01r *. a1r) -. (m01i *. a1i))
+          +. ((m02r *. a2r) -. (m02i *. a2i))
+          +. ((m03r *. a3r) -. (m03i *. a3i));
+        buf.(o0 + 1) <-
+          (m00r *. a0i) +. (m00i *. a0r)
+          +. ((m01r *. a1i) +. (m01i *. a1r))
+          +. ((m02r *. a2i) +. (m02i *. a2r))
+          +. ((m03r *. a3i) +. (m03i *. a3r));
+        buf.(o1) <-
+          (m10r *. a0r) -. (m10i *. a0i)
+          +. ((m11r *. a1r) -. (m11i *. a1i))
+          +. ((m12r *. a2r) -. (m12i *. a2i))
+          +. ((m13r *. a3r) -. (m13i *. a3i));
+        buf.(o1 + 1) <-
+          (m10r *. a0i) +. (m10i *. a0r)
+          +. ((m11r *. a1i) +. (m11i *. a1r))
+          +. ((m12r *. a2i) +. (m12i *. a2r))
+          +. ((m13r *. a3i) +. (m13i *. a3r));
+        buf.(o2) <-
+          (m20r *. a0r) -. (m20i *. a0i)
+          +. ((m21r *. a1r) -. (m21i *. a1i))
+          +. ((m22r *. a2r) -. (m22i *. a2i))
+          +. ((m23r *. a3r) -. (m23i *. a3i));
+        buf.(o2 + 1) <-
+          (m20r *. a0i) +. (m20i *. a0r)
+          +. ((m21r *. a1i) +. (m21i *. a1r))
+          +. ((m22r *. a2i) +. (m22i *. a2r))
+          +. ((m23r *. a3i) +. (m23i *. a3r));
+        buf.(o3) <-
+          (m30r *. a0r) -. (m30i *. a0i)
+          +. ((m31r *. a1r) -. (m31i *. a1i))
+          +. ((m32r *. a2r) -. (m32i *. a2i))
+          +. ((m33r *. a3r) -. (m33i *. a3i));
+        buf.(o3 + 1) <-
+          (m30r *. a0i) +. (m30i *. a0r)
+          +. ((m31r *. a1i) +. (m31i *. a1r))
+          +. ((m32r *. a2i) +. (m32i *. a2r))
+          +. ((m33r *. a3i) +. (m33i *. a3r));
+        k := next fixed !k
       done)
 
 let apply_gate sv gate ~controls ~target =
   apply_matrix sv (Gate.matrix gate) ~controls ~target
 
+(* Swaps the amplitudes of each base index with bit [a] set and the one
+   with bit [b] set; the (0,0) and (1,1) amplitudes stay. *)
 let apply_swap sv ~controls a b =
-  let cmask = control_mask controls in
   let ba = 1 lsl a and bb = 1 lsl b in
+  let cmask = control_mask sv ~gate:(ba lor bb) controls in
+  let fixed = ba lor bb lor cmask in
+  let da = 2 * ba and db = 2 * bb in
   let buf = sv.buf in
-  Qdt_par.parallel_for ~chunk:par_chunk 0 (1 lsl sv.n) (fun lo hi ->
-      for k = lo to hi - 1 do
-        (* Swap amplitudes of index pairs that differ as (a=1,b=0) ↔ (a=0,b=1);
-           visiting only the (a=1,b=0) representative avoids double swaps. *)
-        if k land ba <> 0 && k land bb = 0 && k land cmask = cmask then begin
-          let partner = k lxor ba lxor bb in
-          let ok = 2 * k and op = 2 * partner in
-          let tr = buf.(ok) and ti = buf.(ok + 1) in
-          buf.(ok) <- buf.(op);
-          buf.(ok + 1) <- buf.(op + 1);
-          buf.(op) <- tr;
-          buf.(op + 1) <- ti
-        end
+  sweep_bases sv fixed (fun lo hi ->
+      let k = ref (spread fixed lo) in
+      for _ = lo to hi - 1 do
+        let o = 2 * (!k lor cmask) in
+        let ok = o + da and op = o + db in
+        let tr = buf.(ok) and ti = buf.(ok + 1) in
+        buf.(ok) <- buf.(op);
+        buf.(ok + 1) <- buf.(op + 1);
+        buf.(op) <- tr;
+        buf.(op + 1) <- ti;
+        k := next fixed !k
       done)
 
 let rescale sv s =

@@ -102,6 +102,10 @@ val run_unitary : Qdt_circuit.Circuit.t -> t
     the observed bit. *)
 val measure_qubit : t -> rng:Random.State.t -> int -> int
 
+(** [prob_of_bit sv q bit] is the probability that measuring qubit [q]
+    gives [bit]. *)
+val prob_of_bit : t -> int -> int -> float
+
 (** [expectation_z sv q] is [⟨ψ|Z_q|ψ⟩] (a real number). *)
 val expectation_z : t -> int -> float
 

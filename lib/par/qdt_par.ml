@@ -182,8 +182,26 @@ let run_job pool job =
 (* ------------------------------------------------------------------ *)
 
 (* One region at a time, process-wide: a region entered while [active]
-   runs serially on its caller (see "Nesting" in the .mli). *)
+   runs on its caller (see "Nesting" in the .mli). *)
 let active = Atomic.make false
+
+(* Calls in progress inside [occupy]: each is a domain running a job of
+   its own, so at two or more the cores are taken. *)
+let occupants = Atomic.make 0
+
+let occupy f =
+  Atomic.incr occupants;
+  Fun.protect ~finally:(fun () -> Atomic.decr occupants) f
+
+(* The caller's walk: [body] once per chunk, on the boundaries the pool
+   would use, so per-chunk partials come out the same. *)
+let serial_chunks ~chunk lo hi body =
+  let a = ref lo in
+  while !a < hi do
+    let b = if !a + chunk < hi then !a + chunk else hi in
+    body !a b;
+    a := b
+  done
 
 let parallel_for ?(chunk = default_chunk) lo hi body =
   let n = hi - lo in
@@ -192,7 +210,8 @@ let parallel_for ?(chunk = default_chunk) lo hi body =
     let chunk = max 1 chunk in
     let j = jobs () in
     if j <= 1 || n <= chunk then body lo hi
-    else if not (Atomic.compare_and_set active false true) then body lo hi
+    else if Atomic.get occupants >= 2 || not (Atomic.compare_and_set active false true)
+    then serial_chunks ~chunk lo hi body
     else
       Fun.protect
         ~finally:(fun () -> Atomic.set active false)

@@ -19,15 +19,24 @@
 
     {b Determinism.}  Work is split into fixed-size chunks whose
     boundaries depend only on the iteration range and [~chunk] — never on
-    the domain count or on scheduling.  Callers that reduce should
-    accumulate one partial per chunk (index [lo / chunk] when iterating
-    from 0) and fold the partials in chunk order: the result is then
-    identical at any job count [>= 2].
+    the domain count or on scheduling.  Whenever a range spans more than
+    one chunk and [jobs () >= 2], the body is called once per chunk on
+    those boundaries, whether the chunks run on the pool or on the caller
+    (see below).  Callers that reduce should accumulate one partial per
+    chunk (index [lo / chunk] when iterating from 0) and fold the
+    partials in chunk order: the result is then identical at any job
+    count [>= 2], nested or not, busy or not.
 
-    {b Nesting.}  A parallel region entered while another region is
-    already running (on any domain) executes serially on the caller — the
-    pool never deadlocks on nested use, and inner kernels of an already
-    parallel outer loop stay serial, which is the efficient choice anyway.
+    {b Nesting and busy cores.}  A parallel region entered while another
+    region is already running (on any domain) walks its chunks in order
+    on the caller — the pool never deadlocks on nested use, and inner
+    kernels of an already parallel outer loop stay serial, which is the
+    efficient choice anyway.  So does every region entered while two or
+    more calls are inside {!occupy}: each such call is a domain running
+    a job of its own, the cores are taken, and waking a pool worker as
+    well would only make that job wait for the extra domain to be
+    scheduled.  A lone job (at most one call inside {!occupy}) still
+    uses the pool.
 
     {b Memory model.}  The join at the end of each region synchronises
     through a mutex, so all writes made by workers inside the region
@@ -66,12 +75,21 @@ val domain_slot : unit -> int
 (** [parallel_for ?chunk lo hi body] — [body a b] is invoked for disjoint
     subranges [\[a, b)] covering [\[lo, hi)], each at most [chunk]
     (default {!default_chunk}) long, concurrently across the pool.
-    Runs [body lo hi] inline when [jobs () = 1], when the range fits in
-    one chunk, or when called from inside another parallel region.
+    Runs [body lo hi] once, inline, when [jobs () = 1] or when the range
+    fits in one chunk.  Inside another parallel region, or while two or
+    more calls are inside {!occupy}, it calls [body] chunk by chunk, in
+    order, on the caller.
     The first exception raised by any chunk is re-raised on the caller
     after all workers have stopped (remaining chunks are abandoned);
     side effects of chunks that already ran persist. *)
 val parallel_for : ?chunk:int -> int -> int -> (int -> int -> unit) -> unit
+
+(** [occupy f] runs [f ()] with the calling domain marked as running a
+    job, and unmarks it when [f] returns or raises.  A server wraps each
+    job in it: while two or more calls are inside [occupy], every
+    {!parallel_for} runs its chunks on its caller instead of the pool
+    (see "Nesting and busy cores").  Results do not depend on it. *)
+val occupy : (unit -> 'a) -> 'a
 
 (** [map ?chunk f arr] — deterministic fork-join map: [f] is applied to
     every element concurrently ([chunk] elements per task, default 1) and

@@ -6,7 +6,9 @@
      handlers only parse, enqueue, and block on sockets/pipes, and
      blocking syscalls release the runtime lock;
    - [cfg.workers] worker *domains* executing jobs from one bounded
-     queue — compute runs genuinely in parallel.
+     queue — compute runs genuinely in parallel.  Each job runs inside
+     [Qdt_par.occupy], so while two jobs run, their kernels stay on
+     their own domains instead of waiting on the domain pool.
 
    Per-job timeouts without preemption: each queued job (a "ticket")
    carries a pipe.  The worker writes one byte when the job starts
@@ -210,7 +212,7 @@ let rec worker_loop t =
   match item with
   | None -> ()
   | Some k ->
-      execute t k;
+      Qdt.Par.occupy (fun () -> execute t k);
       worker_loop t
 
 (* ------------------------------------------------------------------ *)

@@ -300,8 +300,44 @@ let norm mps =
   done;
   Float.sqrt (Float.abs (Mat.get !env 0 0).Cx.re)
 
+(* Every amplitude at once: a depth-first walk over qubits 0..n-1 keeps
+   the prefix row vector of each level ([pre.(q)], after sites 0..q-1),
+   so each prefix is built once and shared by all indices below it, in
+   O(n·D) floats.  The sums are [amplitude]'s, term for term and in the
+   same order, on unboxed floats, so the values are bit-identical. *)
 let to_vec mps =
-  Vec.init (1 lsl mps.n) (fun k -> amplitude mps k)
+  let n = mps.n in
+  let out = Array.make (2 lsl n) 0.0 in
+  let pre =
+    Array.init (n + 1) (fun q ->
+        if q = 0 then [| 1.0; 0.0 |] else Array.make (2 * mps.sites.(q - 1).dr) 0.0)
+  in
+  let rec go q k =
+    if q = n then begin
+      out.(2 * k) <- pre.(n).(0);
+      out.((2 * k) + 1) <- pre.(n).(1)
+    end
+    else begin
+      let s = mps.sites.(q) and v = pre.(q) and next = pre.(q + 1) in
+      for bit = 0 to 1 do
+        for r = 0 to s.dr - 1 do
+          let accr = ref 0.0 and acci = ref 0.0 in
+          for l = 0 to s.dl - 1 do
+            let o = 2 * ((((l * 2) + bit) * s.dr) + r) in
+            let ar = v.(2 * l) and ai = v.((2 * l) + 1) in
+            let br = s.data.(o) and bi = s.data.(o + 1) in
+            accr := !accr +. ((ar *. br) -. (ai *. bi));
+            acci := !acci +. ((ar *. bi) +. (ai *. br))
+          done;
+          next.(2 * r) <- !accr;
+          next.((2 * r) + 1) <- !acci
+        done;
+        go (q + 1) (k lor (bit lsl q))
+      done
+    end
+  in
+  go 0 0;
+  Vec.of_buffer out
 
 (* Right environments R.(i) = contraction of ⟨ψ|ψ⟩ over sites i..n-1,
    a (dl_i × dl_i) positive matrix; R.(n) = [1]. *)

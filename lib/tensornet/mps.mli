@@ -48,7 +48,8 @@ val amplitude : t -> int -> Qdt_linalg.Cx.t
 
 val norm : t -> float
 
-(** [to_vec mps] — densify (small [n] only). *)
+(** [to_vec mps] — densify (small [n] only): every [amplitude], bit for
+    bit, from one depth-first walk that builds each prefix product once. *)
 val to_vec : t -> Qdt_linalg.Vec.t
 
 (** [expectation_z mps q] — [⟨ψ|Z_q|ψ⟩ / ⟨ψ|ψ⟩] in O(n·D³) time. *)

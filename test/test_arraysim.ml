@@ -84,7 +84,15 @@ let test_controlled_gate () =
   (* set control, now it fires *)
   Statevector.apply_gate sv Gate.X ~controls:[] ~target:1;
   Statevector.apply_gate sv Gate.X ~controls:[ 1 ] ~target:0;
-  Alcotest.(check (float 1e-12)) "active" 1.0 (Statevector.probability sv 3)
+  Alcotest.(check (float 1e-12)) "active" 1.0 (Statevector.probability sv 3);
+  (* A control on the target, or off the state, has no base index. *)
+  let rejected = Invalid_argument "Statevector: operands out of range or repeated" in
+  Alcotest.check_raises "control on the target" rejected (fun () ->
+      Statevector.apply_gate sv Gate.X ~controls:[ 0 ] ~target:0);
+  Alcotest.check_raises "control off the state" rejected (fun () ->
+      Statevector.apply_gate sv Gate.X ~controls:[ 2 ] ~target:0);
+  Alcotest.check_raises "swap controlled by its own qubit" rejected (fun () ->
+      Statevector.apply_swap sv ~controls:[ 1 ] 0 1)
 
 let test_toffoli () =
   let run_input bits =
@@ -529,6 +537,134 @@ let test_arrays_engine_fuses () =
   Alcotest.(check int) "one span per pass" (Fusion.passes (Fusion.plan c)) spans
 
 (* ------------------------------------------------------------------ *)
+(* Base-index kernels against the full-scan kernels, bit for bit       *)
+(* ------------------------------------------------------------------ *)
+
+module Kref = Qdt_ref.Sv_kernels_ref
+
+(* Every kernel path — diagonal with no entry of 1, with u00 = 1 and
+   with u11 = 1, anti-diagonal, general 2×2, 4×4 and swap — with 0, 1
+   and 2 controls, placed on the lowest and the two highest bits, so the
+   base walk reaches the top index and the chunks split where the gate
+   bits are.  Matrices are random (not unitary): only bit identity is
+   checked. *)
+let kernel_cases ~rng n =
+  let entry () = Random.State.float rng 2.0 -. 1.0 in
+  (* Random entries where [keep] (row-major) holds, exact zeros
+     elsewhere; [one] makes entry 0 or 3 exactly 1. *)
+  let mat2 ?one keep =
+    let b = Array.make 8 0.0 in
+    List.iteri
+      (fun i k ->
+        if k then begin
+          b.(2 * i) <- entry ();
+          b.((2 * i) + 1) <- entry ()
+        end)
+      keep;
+    Option.iter
+      (fun i ->
+        b.(2 * i) <- 1.0;
+        b.((2 * i) + 1) <- 0.0)
+      one;
+    Mat.of_buffer ~rows:2 ~cols:2 b
+  in
+  let diagonal = [ true; false; false; true ] in
+  let mat4 () = Mat.of_buffer ~rows:4 ~cols:4 (Array.init 32 (fun _ -> entry ())) in
+  let placements = [ (0, n - 1); (n - 1, n - 2); (n - 2, 0) ] in
+  let controls_for ncontrols (a, b) =
+    let free = List.filter (fun q -> q <> a && q <> b) (List.init n Fun.id) in
+    let rec pick k acc =
+      if k = 0 then acc
+      else
+        let rest = List.filter (fun q -> not (List.mem q acc)) free in
+        pick (k - 1) (List.nth rest (Random.State.int rng (List.length rest)) :: acc)
+    in
+    pick ncontrols []
+  in
+  List.concat_map
+    (fun ncontrols ->
+      List.concat_map
+        (fun ((a, b) as place) ->
+          let controls = controls_for ncontrols place in
+          let one m name =
+            ( Printf.sprintf "%s on %d, controls %s" name a
+                (String.concat "," (List.map string_of_int controls)),
+              (fun sv -> Statevector.apply_matrix sv m ~controls ~target:a),
+              fun r -> Kref.apply_matrix r m ~controls ~target:a )
+          in
+          let m4 = mat4 () in
+          [
+            one (mat2 diagonal) "diagonal";
+            one (mat2 ~one:0 diagonal) "diagonal u00=1";
+            one (mat2 ~one:3 diagonal) "diagonal u11=1";
+            one (mat2 [ false; true; true; false ]) "anti-diagonal";
+            one (mat2 [ true; true; true; true ]) "general 2x2";
+            ( Printf.sprintf "4x4 on (%d,%d), %d controls" a b ncontrols,
+              (fun sv -> Statevector.apply_matrix2 sv m4 ~controls ~q0:a ~q1:b),
+              fun r -> Kref.apply_matrix2 r m4 ~controls ~q0:a ~q1:b );
+            ( Printf.sprintf "swap (%d,%d), %d controls" a b ncontrols,
+              (fun sv -> Statevector.apply_swap sv ~controls a b),
+              fun r -> Kref.apply_swap r ~controls a b );
+          ])
+        placements)
+    [ 0; 1; 2 ]
+
+(* Applies every case in turn to one random state on both kernels and
+   compares all amplitudes' bits after each; returns the first mismatch. *)
+let kernels_agree n =
+  let rng = Random.State.make [| 77; n |] in
+  let v =
+    Vec.init (1 lsl n) (fun _ ->
+        { Cx.re = Random.State.float rng 2.0 -. 1.0; im = Random.State.float rng 2.0 -. 1.0 })
+  in
+  let sv = Statevector.of_vec n v and r = Kref.of_vec n v in
+  List.fold_left
+    (fun failure (name, apply, apply_ref) ->
+      if failure <> None then failure
+      else begin
+        apply sv;
+        apply_ref r;
+        let got = Vec.buffer (Statevector.vec_view sv) in
+        let rec first i =
+          if i >= Array.length got then None
+          else if Int64.bits_of_float got.(i) <> Int64.bits_of_float r.Kref.buf.(i) then
+            Some (Printf.sprintf "n=%d %s: float %d differs" n name i)
+          else first (i + 1)
+        in
+        first 0
+      end)
+    None (kernel_cases ~rng n)
+
+let test_kernels_bit_identical () =
+  let saved = Qdt_par.jobs () in
+  Fun.protect ~finally:(fun () -> Qdt_par.set_jobs saved) @@ fun () ->
+  let check where = Option.iter (fun msg -> Alcotest.failf "%s: %s" where msg) in
+  List.iter
+    (fun jobs ->
+      Qdt_par.set_jobs jobs;
+      List.iter (fun n -> check (Printf.sprintf "jobs=%d" jobs) (kernels_agree n)) [ 15; 16 ])
+    [ 1; 2 ];
+  (* Two jobs at once, as a server runs them: both domains inside
+     [occupy] before either starts, so every region walks its chunks on
+     its caller. *)
+  Qdt_par.set_jobs 2;
+  let inside = Atomic.make 0 in
+  let arrive_and_wait k =
+    Atomic.incr inside;
+    while Atomic.get inside < k do
+      Domain.cpu_relax ()
+    done
+  in
+  let job n () =
+    Qdt_par.occupy (fun () ->
+        arrive_and_wait 2;
+        Fun.protect ~finally:(fun () -> arrive_and_wait 4) (fun () -> kernels_agree n))
+  in
+  let d15 = Domain.spawn (job 15) and d16 = Domain.spawn (job 16) in
+  check "two occupied jobs" (Domain.join d15);
+  check "two occupied jobs" (Domain.join d16)
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -622,5 +758,7 @@ let () =
           Alcotest.test_case "4x4 only where it pays" `Quick test_fusion_only_where_it_pays;
           Alcotest.test_case "arrays engine fuses" `Quick test_arrays_engine_fuses;
         ] );
+      ( "kernels",
+        [ Alcotest.test_case "bit-identical to full scans" `Quick test_kernels_bit_identical ] );
       ("properties", props);
     ]

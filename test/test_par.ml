@@ -174,6 +174,121 @@ let test_nested_regions_run_serially () =
           ignore (Atomic.fetch_and_add inner_ran (hi - lo))));
   Alcotest.(check int) "inner iterations all ran" 32 (Atomic.get inner_ran)
 
+(* A gate kernel chunks its base indices, not the whole index range:
+   at jobs 2 a 16-qubit pass splits into 4 pool chunks and a 15-qubit
+   one into 2, whichever bits the gate and its controls hold, and a
+   14-qubit pass runs inline. *)
+let test_kernel_chunks () =
+  let module M = Qdt_obs.Metrics in
+  Qdt_par.set_jobs 2;
+  let was = M.enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled was) @@ fun () ->
+  let chunks () =
+    List.fold_left
+      (fun acc (name, v) ->
+        match v with
+        | M.Counter_v c when String.starts_with ~prefix:"qdt.par.chunks" name -> acc + c
+        | _ -> acc)
+      0 (M.snapshot ())
+  in
+  let u4 = Qdt_arraysim.Unitary_builder.unitary (Generators.random_circuit ~seed:5 ~depth:2 2) in
+  List.iter
+    (fun (n, want) ->
+      let sv = Sv.create n in
+      let top = n - 1 and next = n - 2 in
+      List.iter
+        (fun (what, apply) ->
+          let before = chunks () in
+          apply ();
+          Alcotest.(check int) (Printf.sprintf "%d qubits, %s" n what) want (chunks () - before))
+        [
+          ( "H on the top bit",
+            fun () -> Sv.apply_matrix sv Qdt_linalg.Gates.h ~controls:[] ~target:top );
+          ( "CX, top control",
+            fun () -> Sv.apply_matrix sv Qdt_linalg.Gates.x ~controls:[ top ] ~target:0 );
+          ("4x4 on the top two", fun () -> Sv.apply_matrix2 sv u4 ~controls:[] ~q0:next ~q1:top);
+          ( "controlled swap",
+            fun () -> Sv.apply_swap sv ~controls:[ 3 ] next top );
+        ])
+    [ (14, 0); (15, 2); (16, 4) ]
+
+(* ------------------------------------------------------------------ *)
+(* Busy cores: [occupy]                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [f] on two fresh domains, each inside [occupy], and returns
+   once both are done; neither starts [f] before both are inside. *)
+let two_occupied f =
+  let inside = Atomic.make 0 in
+  let arrive_and_wait k =
+    Atomic.incr inside;
+    while Atomic.get inside < k do
+      Domain.cpu_relax ()
+    done
+  in
+  let job () =
+    Qdt_par.occupy (fun () ->
+        arrive_and_wait 2;
+        Fun.protect ~finally:(fun () -> arrive_and_wait 4) f)
+  in
+  let a = Domain.spawn job and b = Domain.spawn job in
+  (Domain.join a, Domain.join b)
+
+(* With the pool down, two occupied regions must neither start it nor
+   run a chunk on a worker slot; one occupied region still takes it. *)
+let test_occupy_keeps_chunks_on_caller () =
+  Qdt_par.set_jobs 2;
+  Qdt_par.shutdown ();
+  let on_worker = Atomic.make 0 in
+  let region () =
+    let hits = Array.make 256 0 in
+    Qdt_par.parallel_for ~chunk:1 0 256 (fun lo hi ->
+        if Qdt_par.domain_slot () <> 0 then Atomic.incr on_worker;
+        for i = lo to hi - 1 do
+          hits.(i) <- hits.(i) + 1
+        done);
+    Array.for_all (( = ) 1) hits
+  in
+  let covered_a, covered_b = two_occupied region in
+  Alcotest.(check bool) "every index once" true (covered_a && covered_b);
+  Alcotest.(check int) "no chunk on a worker slot" 0 (Atomic.get on_worker);
+  Alcotest.(check int) "pool never started" 0 (Qdt_par.spawned_domains ());
+  ignore (Qdt_par.occupy region);
+  Alcotest.(check int) "a lone job takes the pool" 1 (Qdt_par.spawned_domains ())
+
+let test_occupy_releases_on_raise () =
+  Qdt_par.set_jobs 2;
+  (match Qdt_par.occupy (fun () -> failwith "job failed") with
+  | () -> Alcotest.fail "occupy swallowed the exception"
+  | exception Failure _ -> ());
+  (* Were the failed job still counted, this lone job would be the
+     second occupant and stay off the pool. *)
+  Qdt_par.shutdown ();
+  Qdt_par.occupy (fun () -> Qdt_par.parallel_for ~chunk:1 0 64 (fun _ _ -> ()));
+  Alcotest.(check int) "a lone job takes the pool" 1 (Qdt_par.spawned_domains ())
+
+(* A reduction folds one partial per chunk whether its chunks run on
+   the pool, on the caller inside another region, or on the caller of
+   one of two occupied jobs: the three give the same bits. *)
+let test_reductions_same_chunks () =
+  Qdt_par.set_jobs 2;
+  let sv = Sv.run_unitary (Generators.random_circuit ~seed:93 ~depth:3 16) in
+  let reductions () =
+    List.concat_map
+      (fun q -> [ Sv.expectation_z sv q; Sv.prob_of_bit sv q 1 ])
+      (List.init 16 Fun.id)
+    @ [ Sv.norm sv ]
+  in
+  let bits = List.map Int64.bits_of_float in
+  let top = bits (reductions ()) in
+  let nested = ref [] in
+  Qdt_par.parallel_for ~chunk:1 0 2 (fun lo _ -> if lo = 0 then nested := reductions ());
+  Alcotest.(check (list int64)) "nested = top level" top (bits !nested);
+  let a, b = two_occupied reductions in
+  Alcotest.(check (list int64)) "occupied = top level" top (bits a);
+  Alcotest.(check (list int64)) "both occupied jobs" top (bits b)
+
 let () =
   (* Leave a clean slate whatever order alcotest ran things in. *)
   at_exit (fun () -> Qdt_par.set_jobs 1);
@@ -197,5 +312,13 @@ let () =
           Alcotest.test_case "map matches serial" `Quick test_map_matches_serial;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "nested regions serialize" `Quick test_nested_regions_run_serially;
+          Alcotest.test_case "gate kernels chunk their base indices" `Quick test_kernel_chunks;
+        ] );
+      ( "occupy",
+        [
+          Alcotest.test_case "two jobs keep chunks on their callers" `Quick
+            test_occupy_keeps_chunks_on_caller;
+          Alcotest.test_case "count released on raise" `Quick test_occupy_releases_on_raise;
+          Alcotest.test_case "reductions fold the same chunks" `Quick test_reductions_same_chunks;
         ] );
     ]

@@ -279,6 +279,31 @@ let test_mps_truncation () =
   Alcotest.(check bool) "memory smaller" true
     (Mps.memory_bytes truncated < Mps.memory_bytes exact)
 
+(* Densifying shares prefix products across indices but adds the same
+   terms in the same order as [amplitude], so every entry matches it bit
+   for bit — including truncated states whose bonds vary along the
+   chain. *)
+let test_mps_to_vec_bit_identical () =
+  List.iter
+    (fun (name, mps) ->
+      let v = Mps.to_vec mps in
+      for k = 0 to (1 lsl Mps.num_qubits mps) - 1 do
+        let a = Mps.amplitude mps k and b = Vec.get v k in
+        if
+          Int64.bits_of_float a.Cx.re <> Int64.bits_of_float b.Cx.re
+          || Int64.bits_of_float a.Cx.im <> Int64.bits_of_float b.Cx.im
+        then Alcotest.failf "%s: amplitude %d differs" name k
+      done)
+    [
+      ("ghz-12", Mps.run (Generators.ghz 12));
+      ("w-12", Mps.run (Generators.w_state 12));
+      ("hidden-shift-12", Mps.run (Generators.hidden_shift ~shift:0b101101011001 12));
+      ("qft-8", Mps.run (Generators.qft 8));
+      ("random-10 bond 32", Mps.run ~max_bond:32 (Generators.random_circuit ~seed:21 ~depth:8 10));
+      ("random-9 bond 4", Mps.run ~max_bond:4 (Generators.random_circuit ~seed:22 ~depth:5 9));
+      ("single qubit", Mps.run (Generators.random_circuit ~seed:23 ~depth:3 1));
+    ]
+
 let test_mps_expectation_z () =
   let mps = Mps.run (Generators.w_state 4) in
   Alcotest.(check (float 1e-8)) "W <Z_2>" 0.5 (Mps.expectation_z mps 2);
@@ -394,6 +419,8 @@ let () =
           Alcotest.test_case "expectation" `Quick test_mps_expectation_z;
           Alcotest.test_case "sampling" `Quick test_mps_sampling;
           Alcotest.test_case "rejects 3q" `Quick test_mps_rejects_three_qubit;
+          Alcotest.test_case "to_vec = amplitude, bit for bit" `Quick
+            test_mps_to_vec_bit_identical;
         ] );
       ("properties", props);
     ]
