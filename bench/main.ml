@@ -9,17 +9,23 @@
               dune exec bench/main.exe -- e18 --smoke --reps 3 --compare
                                         (gate against bench/baselines/)
 
-   Every timing is measured --reps times (default 5, 3 under --smoke)
-   and summarised as {median, mad, min, max, reps} — Qdt_obs.Stats —
-   so BENCH_<id>.json carries a noise model, not one number.  --compare
+   Every number an experiment prints comes from one routine,
+   [run_timings]: it times all the thunks of an experiment --reps times
+   (default 5, 3 under --smoke), one batch of each per rep in an order
+   rotated by the rep, and summarises each as {median, mad, min, max,
+   reps} — Qdt_obs.Stats — so BENCH_<id>.json carries a noise model, not
+   one number.  Tables print medians; an A/B ratio is a ratio of medians,
+   marked "unresolved" unless every sample of one side beats every sample
+   of the other; in-experiment gates read the fastest sample.  --compare
    diffs the summaries against the committed bench/baselines/<id>.json
-   with a MAD-scaled threshold (Qdt_obs.Baseline) and exits nonzero on
-   regression; --update-baselines blesses the current run instead.
+   with a MAD-scaled threshold (Qdt_obs.Baseline) and exits nonzero on a
+   regression or on a baselined timing the run did not measure;
+   --update-baselines blesses the current run instead.
 
    Each experiment additionally writes machine-readable results to
    BENCH_<id>.json in the working directory: every timing summary, any
-   experiment-specific metrics (e.g. e16's GC counters), and the full
-   Qdt_obs metrics registry accumulated while the experiment ran. *)
+   experiment-specific metrics (e.g. e16's GC counters), and the run
+   report bracketing the experiment. *)
 
 module Circuit = Qdt.Circuit.Circuit
 module Generators = Qdt.Circuit.Generators
@@ -36,8 +42,8 @@ module Baseline = Qdt.Obs.Baseline
 let json_timings : (string * Stats.summary) list ref = ref []
 let json_metrics : (string * string) list ref = ref []
 
-(* Timing repetitions per test; the driver sets this from --reps (default
-   5, or 3 under --smoke).  e17/e18's internal best-of loops use it too. *)
+(* Samples per timing: [run_timings] times every thunk this many times.
+   It is set from --reps (default 5, or 3 under --smoke). *)
 let reps_flag = ref 5
 
 (* [metric key json] records one experiment-specific value; [json] must
@@ -104,24 +110,38 @@ let write_json ~experiment ~smoke ~report =
 (* Timing machinery                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each timing is sampled [!reps_flag] times and summarised by
-   median/MAD (Qdt_obs.Stats) — robust against the heavy-tailed noise of
-   preemption and GC.  Fast thunks are batched so a sample is never
-   dominated by clock granularity: after the warm-up, [calibrate] times
-   up to [calibration_probes] single calls and takes the smallest
-   power-of-two batch whose median call reaches 1 ms, so no single noisy
-   call decides how many calls each sample averages.  Probing stops once
-   the probes have taken 10 ms in all: a thunk that slow runs in batches
-   of one either way.  Each sample is then batch time / batch size. *)
+(* One routine times every number the experiments print.  [run_timings]
+   first warms up and calibrates each thunk of an experiment.  Then, for
+   rep r, it times one batch of every thunk, in an order rotated by r, so
+   the variants an experiment compares share host drift and heap state.
+   Before a thunk's warm-up and before each of its batches, untimed, its
+   [setup] runs and then a full major collection, so no batch pays to
+   collect the garbage another thunk left (on a 2-core VM, e22's warm
+   job read 114-148 us with a MAD of 25-58 us without the collection,
+   and 78-84 us with a MAD of 1-4 us with it).  [calibrate] times up to
+   [calibration_probes] single calls (stopping once they have taken
+   10 ms) and sizes the batch as ceil (1 ms / median call), clamped to
+   [1, max_batch]: a sample is never dominated by clock granularity, no
+   single noisy call decides the batch, and the batch moves by a call
+   or two with the probe median.  Each sample is batch time / batch
+   size; each timing is summarised by median/MAD (Qdt_obs.Stats), robust
+   against the heavy-tailed noise of preemption and GC. *)
 
 let calibration_target_ns = 1_000_000
 let calibration_probes = 7
 let max_batch = 65_536
 
+type bench = { label : string; setup : unit -> unit; fn : unit -> unit }
+
+(* The result goes through [Sys.opaque_identity], so the work is never
+   optimised away and thunks of any result type fit in one list. *)
+let bench ?(setup = ignore) label fn =
+  { label; setup; fn = (fun () -> ignore (Sys.opaque_identity (fn ()))) }
+
 let time_batch fn iters =
   let t0 = Qdt.Obs.Clock.now_ns () in
   for _ = 1 to iters do
-    ignore (Sys.opaque_identity (fn ()))
+    fn ()
   done;
   Qdt.Obs.Clock.elapsed_ns t0
 
@@ -132,33 +152,9 @@ let calibrate fn =
       let dt = time_batch fn 1 in
       probe (float_of_int dt :: acc) (spent + dt)
   in
-  let per_call = Stats.median (Array.of_list (probe [] 0)) in
-  let target = float_of_int calibration_target_ns in
-  let iters = ref 1 in
-  while float_of_int !iters *. per_call < target && !iters < max_batch do
-    iters := !iters * 2
-  done;
-  !iters
-
-let measure_summary ~reps fn =
-  ignore (Sys.opaque_identity (fn ())) (* warm up *);
-  let iters = calibrate fn in
-  let samples =
-    Array.init (max 1 reps) (fun _ ->
-        float_of_int (time_batch fn iters) /. float_of_int iters)
-  in
-  (Stats.summary samples, iters)
-
-(* Best-of-[reps] wall time of one [body] call, in ns: the minimum damps
-   scheduler noise, so two configurations of one run compare fairly. *)
-let best_of ~reps body =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Qdt.Obs.Clock.now_ns () in
-    body ();
-    best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
-  done;
-  !best
+  let per_call = Float.max 1.0 (Stats.median (Array.of_list (probe [] 0))) in
+  let iters = Float.ceil (float_of_int calibration_target_ns /. per_call) in
+  int_of_float (Float.min iters (float_of_int max_batch))
 
 let pretty_ns ns =
   if ns > 1e9 then Printf.sprintf "%8.3f s " (ns /. 1e9)
@@ -166,19 +162,73 @@ let pretty_ns ns =
   else if ns > 1e3 then Printf.sprintf "%8.3f us" (ns /. 1e3)
   else Printf.sprintf "%8.1f ns" ns
 
+let prepare t =
+  t.setup ();
+  Gc.full_major ()
+
 let run_timings ~name tests =
-  List.iter
-    (fun (test_name, fn) ->
-      let label = name ^ "/" ^ test_name in
-      let s, iters = measure_summary ~reps:!reps_flag fn in
+  let tests = Array.of_list tests in
+  let k = Array.length tests in
+  let reps = !reps_flag in
+  let iters =
+    Array.map
+      (fun t ->
+        prepare t;
+        t.fn () (* warm up *);
+        calibrate t.fn)
+      tests
+  in
+  let samples = Array.make_matrix k reps 0.0 in
+  for r = 0 to reps - 1 do
+    for j = 0 to k - 1 do
+      let i = (r + j) mod k in
+      prepare tests.(i);
+      samples.(i).(r) <- float_of_int (time_batch tests.(i).fn iters.(i)) /. float_of_int iters.(i)
+    done
+  done;
+  Array.iteri
+    (fun i t ->
+      let label = name ^ "/" ^ t.label in
+      let s = Stats.summary samples.(i) in
       json_timings := (label, s) :: !json_timings;
       Printf.printf "  %-44s %s  ± %-10s (%d reps × %d)\n" label
         (pretty_ns s.Stats.median)
         (String.trim (pretty_ns s.Stats.mad))
-        s.Stats.reps iters)
+        s.Stats.reps iters.(i))
     tests
 
-let bench name fn = (name, fun () -> fn ())
+(* [timing name label] — the summary [run_timings ~name] recorded for
+   [label]. *)
+let timing name label = List.assoc (name ^ "/" ^ label) !json_timings
+
+let ms (s : Stats.summary) = s.Stats.median /. 1e6
+
+(* An A/B comparison is the ratio of medians a/b.  It is resolved only
+   when every sample of one side beats every sample of the other
+   (Stats.separated); anything less is reported as unresolved. *)
+let ratio (a : Stats.summary) (b : Stats.summary) = a.Stats.median /. b.Stats.median
+
+let versus a b =
+  Printf.sprintf "%.2fx%s" (ratio a b) (if Stats.separated a b then "" else " (unresolved)")
+
+let metric_versus key a b =
+  metric key
+    (Printf.sprintf "{\"ratio\": %s, \"resolved\": %b}"
+       (Qdt.Obs.Json.float (ratio a b))
+       (Stats.separated a b))
+
+(* [engine name] — the registered engine [name]; [run_ok engine c job]
+   runs one job on a fresh engine of it and fails the bench on a typed
+   error. *)
+let engine name =
+  match Qdt.Registry.find_session name with
+  | Some e -> e
+  | None -> failwith (name ^ " engine not registered")
+
+let run_ok engine c job =
+  match Qdt.Backend.run_once engine c job with
+  | Ok (result, _stats) -> result
+  | Error e -> failwith (Qdt.Backend.error_to_string e)
 
 let header id title =
   Printf.printf "\n================================================================\n";
@@ -832,13 +882,10 @@ let e15 () =
 let e16_run ~gc_threshold c =
   let mgr = Qdt.Dd.Pkg.create ~gc_threshold () in
   let st = Qdt.Dd.Sim.make mgr (Circuit.num_qubits c) in
-  let t0 = Qdt.Obs.Clock.now_ns () in
   ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st));
-  let wall = Qdt.Obs.Clock.ns_to_s (Qdt.Obs.Clock.elapsed_ns t0) in
   let stats = Qdt.Dd.Pkg.cache_stats mgr in
   let rate h l = if l = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int l in
-  ( wall,
-    stats,
+  ( stats,
     Qdt.Dd.Pkg.peak_unique_table_size mgr,
     Qdt.Dd.Pkg.unique_table_size mgr,
     Qdt.Dd.Pkg.cnum_live_entries mgr,
@@ -849,28 +896,39 @@ let e16 ~smoke () =
   let workloads =
     if smoke then
       [
-        ("clifford-t-deep", Generators.random_clifford_t ~seed:7 ~gates:400 ~t_fraction:0.2 8);
+        ("deep-clifford-t", Generators.random_clifford_t ~seed:7 ~gates:400 ~t_fraction:0.2 8);
         ("qft", Generators.qft 10);
       ]
     else
       [
         (* ~100 layers of one gate per qubit *)
-        ("clifford-t-deep", Generators.random_clifford_t ~seed:7 ~gates:1200 ~t_fraction:0.2 12);
+        ("deep-clifford-t", Generators.random_clifford_t ~seed:7 ~gates:1200 ~t_fraction:0.2 12);
         ("qft", Generators.qft 16);
       ]
   in
   let gc_threshold = if smoke then 1024 else 8192 in
-  Printf.printf "gc threshold: %d unique-table entries (0 = collection off)\n\n" gc_threshold;
+  let arms = [ ("off", 0); ("on", gc_threshold) ] in
+  let label name tag = Printf.sprintf "%s-gc-%s" name tag in
+  run_timings ~name:"e16"
+    (List.concat_map
+       (fun (name, c) ->
+         List.map
+           (fun (tag, threshold) ->
+             bench (label name tag) (fun () -> e16_run ~gc_threshold:threshold c))
+           arms)
+       workloads);
+  Printf.printf "\ngc threshold: %d unique-table entries (0 = collection off)\n\n" gc_threshold;
   Printf.printf "%18s | %6s | %9s | %10s | %8s | %9s | %9s | %7s\n" "workload" "gc"
     "wall (ms)" "peak nodes" "final" "collected" "cnum live" "cache%";
   List.iter
     (fun (name, c) ->
-      let report tag threshold =
-        let wall, stats, peak, final, cnum_live, cache_pct = e16_run ~gc_threshold:threshold c in
+      (* The counters come from one more, untimed run of each arm. *)
+      let report (tag, threshold) =
+        let stats, peak, final, cnum_live, cache_pct = e16_run ~gc_threshold:threshold c in
         Printf.printf "%18s | %6s | %9.2f | %10d | %8d | %9d | %9d | %6.1f%%\n" name tag
-          (1000.0 *. wall) peak final stats.Qdt.Dd.Pkg.nodes_collected cnum_live cache_pct;
+          (ms (timing "e16" (label name tag)))
+          peak final stats.Qdt.Dd.Pkg.nodes_collected cnum_live cache_pct;
         let m key v = metric_int (Printf.sprintf "%s.%s.%s" name tag key) v in
-        metric_float (Printf.sprintf "%s.%s.wall_ms" name tag) (1000.0 *. wall);
         m "peak_unique_table" peak;
         m "final_unique_table" final;
         m "gc_runs" stats.Qdt.Dd.Pkg.gc_runs;
@@ -878,37 +936,34 @@ let e16 ~smoke () =
         m "cnums_collected" stats.Qdt.Dd.Pkg.cnums_collected;
         m "cnum_live_entries" cnum_live;
         metric_float (Printf.sprintf "%s.%s.compute_hit_pct" name tag) cache_pct;
-        (wall, peak, final)
+        (peak, final)
       in
-      let _, peak_off, _ = report "off" 0 in
-      let _, peak_on, final_on = report "on" gc_threshold in
+      let peak_off, _ = report ("off", 0) in
+      let peak_on, final_on = report ("on", gc_threshold) in
+      let off = timing "e16" (label name "off") and on = timing "e16" (label name "on") in
       Printf.printf
-        "  -> GC bounds the table to %.1fx the final live size (unbounded peak: %.1fx)\n"
+        "  -> GC bounds the table to %.1fx the final live size (unbounded peak: %.1fx); wall off/on: %s\n"
         (float_of_int peak_on /. float_of_int (max 1 final_on))
-        (float_of_int peak_off /. float_of_int (max 1 final_on)))
-    workloads;
-  let deep = List.assoc "clifford-t-deep" workloads in
-  run_timings ~name:"e16"
-    [
-      bench "deep-clifford-t-gc-off" (fun () -> ignore (e16_run ~gc_threshold:0 deep));
-      bench "deep-clifford-t-gc-on" (fun () -> ignore (e16_run ~gc_threshold deep));
-    ]
+        (float_of_int peak_off /. float_of_int (max 1 final_on))
+        (versus off on);
+      metric_versus (name ^ ".off_vs_on") off on)
+    workloads
 
 (* ------------------------------------------------------------------ *)
 (* E17: observability overhead — traced vs untraced simulation         *)
 (* ------------------------------------------------------------------ *)
 
 (* The observability contract (DESIGN.md): a disabled instrumentation site
-   costs one flag check.  This experiment measures three things on a deep
-   Clifford+T DD simulation:
-     1. wall time with both subsystems disabled (the shipping default),
-     2. wall time with metrics enabled,
-     3. wall time with tracing enabled;
+   costs one flag check.  This experiment times three variants of a deep
+   Clifford+T DD simulation, interleaved:
+     1. both subsystems disabled (the shipping default),
+     2. metrics enabled,
+     3. tracing enabled;
    and then bounds the *disabled-mode* overhead directly: the per-call
    cost of a disabled primitive (measured in a tight loop) times the
    number of instrumentation calls the run executes (counted by running
    once with metrics on).  The experiment FAILS if that bound exceeds 2%
-   of the untraced runtime. *)
+   of the fastest untraced sample. *)
 
 let e17_overhead_budget_pct = 2.0
 
@@ -917,22 +972,28 @@ let e17 ~smoke () =
   let n = if smoke then 8 else 10 in
   let gates = if smoke then 400 else 2000 in
   let c = Generators.random_clifford_t ~seed:11 ~gates ~t_fraction:0.2 n in
-  let reps = !reps_flag in
   let run_once () =
     let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
     ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
-  (* Both subsystems off: the shipping default and the e17 baseline. *)
-  Qdt.Obs.Metrics.set_enabled false;
-  Qdt.Obs.Trace.set_enabled false;
-  run_once () (* warm up *);
-  let t_disabled = best_of ~reps run_once in
-  (* Metrics on. *)
-  Qdt.Obs.Metrics.set_enabled true;
-  let t_metrics = best_of ~reps run_once in
+  let obs ~metrics ~trace () =
+    Qdt.Obs.Metrics.set_enabled metrics;
+    Qdt.Obs.Trace.clear ();
+    Qdt.Obs.Trace.set_enabled trace
+  in
+  (* Ring sized so nothing wraps within a batch. *)
+  Qdt.Obs.Trace.configure ~capacity:(1 lsl 18) ();
+  run_timings ~name:"e17"
+    [
+      bench "deep-clifford-t-untraced" ~setup:(obs ~metrics:false ~trace:false) run_once;
+      bench "deep-clifford-t-metrics" ~setup:(obs ~metrics:true ~trace:false) run_once;
+      bench "deep-clifford-t-traced" ~setup:(obs ~metrics:false ~trace:true) run_once;
+    ];
+  obs ~metrics:false ~trace:false ();
   (* Count the instrumentation calls one run executes: per instruction one
      counter increment plus a begin/end span bracket, and per compute-cache
      probe a lookup increment plus (on hit) a hit increment. *)
+  Qdt.Obs.Metrics.set_enabled true;
   Qdt.Obs.Metrics.reset ();
   run_once ();
   let instr_sites = counted "dd.gates" + counted "dd.measurements" in
@@ -941,12 +1002,6 @@ let e17 ~smoke () =
     + (4 * counted "dd.gc.runs")
   in
   Qdt.Obs.Metrics.set_enabled false;
-  (* Tracing on (ring sized so nothing wraps mid-measurement). *)
-  Qdt.Obs.Trace.configure ~capacity:(1 lsl 18) ();
-  Qdt.Obs.Trace.set_enabled true;
-  let t_traced = best_of ~reps run_once in
-  Qdt.Obs.Trace.set_enabled false;
-  Qdt.Obs.Trace.clear ();
   (* Per-call cost of a disabled primitive, measured in a tight loop. *)
   let probe = Qdt.Obs.Metrics.counter "e17.probe" in
   let probe_iters = 5_000_000 in
@@ -961,25 +1016,26 @@ let e17 ~smoke () =
   (* The probe counter is measurement scaffolding, not a result — drop it
      from the registry so it never ships in a BENCH_*.json report. *)
   Qdt.Obs.Metrics.remove "e17.probe";
+  Qdt.Obs.Metrics.set_enabled true;
+  let t = timing "e17" in
+  let untraced = t "deep-clifford-t-untraced" in
+  let metrics = t "deep-clifford-t-metrics" and traced = t "deep-clifford-t-traced" in
   let disabled_bound_pct =
-    100.0 *. (float_of_int ops_per_run *. per_op_ns) /. t_disabled
+    100.0 *. (float_of_int ops_per_run *. per_op_ns) /. untraced.Stats.min
   in
-  let pct t = 100.0 *. ((t -. t_disabled) /. t_disabled) in
-  Printf.printf "workload: random Clifford+T, n=%d, %d gates (DD backend, %d reps, best-of)\n\n"
-    n gates reps;
-  Printf.printf "  untraced (obs disabled)   %9.2f ms\n" (t_disabled /. 1e6);
-  Printf.printf "  metrics enabled           %9.2f ms  (%+.2f%%)\n" (t_metrics /. 1e6) (pct t_metrics);
-  Printf.printf "  trace enabled             %9.2f ms  (%+.2f%%)\n" (t_traced /. 1e6) (pct t_traced);
+  Printf.printf "\nworkload: random Clifford+T, n=%d, %d gates (DD backend, %d interleaved reps)\n\n"
+    n gates !reps_flag;
+  Printf.printf "  untraced (obs disabled)   %9.2f ms\n" (ms untraced);
+  Printf.printf "  metrics enabled           %9.2f ms  %s\n" (ms metrics) (versus metrics untraced);
+  Printf.printf "  trace enabled             %9.2f ms  %s\n" (ms traced) (versus traced untraced);
   Printf.printf "\n  instrumentation calls per run: %d (%.1f per gate)\n" ops_per_run
     (float_of_int ops_per_run /. float_of_int (max 1 instr_sites));
   Printf.printf "  disabled primitive cost: %.2f ns/call\n" per_op_ns;
-  Printf.printf "  disabled-mode overhead bound: %.3f%% of untraced wall (budget: %.1f%%)\n"
+  Printf.printf
+    "  disabled-mode overhead bound: %.3f%% of the fastest untraced sample (budget: %.1f%%)\n"
     disabled_bound_pct e17_overhead_budget_pct;
-  metric_float "untraced_wall_ms" (t_disabled /. 1e6);
-  metric_float "metrics_wall_ms" (t_metrics /. 1e6);
-  metric_float "traced_wall_ms" (t_traced /. 1e6);
-  metric_float "metrics_overhead_pct" (pct t_metrics);
-  metric_float "traced_overhead_pct" (pct t_traced);
+  metric_versus "metrics_vs_untraced" metrics untraced;
+  metric_versus "traced_vs_untraced" traced untraced;
   metric_int "instrumentation_calls_per_run" ops_per_run;
   metric_float "disabled_per_call_ns" per_op_ns;
   metric_float "disabled_overhead_bound_pct" disabled_bound_pct;
@@ -989,18 +1045,7 @@ let e17 ~smoke () =
       "E17 FAILED: disabled-mode observability overhead bound %.3f%% exceeds the %.1f%% budget\n"
       disabled_bound_pct e17_overhead_budget_pct;
     exit 1
-  end;
-  Qdt.Obs.Metrics.set_enabled true;
-  run_timings ~name:"e17"
-    [
-      bench "deep-clifford-t-untraced" (fun () ->
-          Qdt.Obs.Metrics.set_enabled false;
-          Qdt.Obs.Trace.set_enabled false;
-          run_once ());
-      bench "deep-clifford-t-metrics" (fun () ->
-          Qdt.Obs.Metrics.set_enabled true;
-          run_once ());
-    ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E18: unboxed numeric substrate — boxed vs flat-float kernels        *)
@@ -1012,9 +1057,10 @@ let e17 ~smoke () =
    faster and allocation-free per gate.  This experiment runs the e16/e17
    workloads plus a QFT and a nearest-neighbour MPS ansatz through the
    current engines AND through the retained boxed reference
-   implementations (test/ref, linked as qdt_ref), measuring best-of-reps
-   wall time and GC minor words per gate for each.  The experiment FAILS
-   if the unboxed statevector is slower than the boxed one anywhere. *)
+   implementations (test/ref, linked as qdt_ref), timing each pair
+   interleaved and counting GC minor words per gate on one more, untimed
+   call of each.  The experiment FAILS if the unboxed statevector's
+   fastest sample is slower than the boxed one's anywhere. *)
 
 (* Nearest-neighbour layered ansatz: Ry on every qubit then CX down the
    chain, per layer — every two-qubit gate is adjacent, so the MPS engine
@@ -1031,25 +1077,13 @@ let e18_mps_ansatz ~layers n =
   done;
   !c
 
-(* Best-of-reps wall time plus minor-words-per-run for [run].  Allocation
-   is measured on a dedicated run (after warmup) so bechamel-style timing
-   noise cannot leak into the GC delta. *)
-let e18_measure ~reps run =
-  ignore (run ()) (* warm up *);
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Qdt.Obs.Clock.now_ns () in
-    ignore (run ());
-    best := Float.min !best (float_of_int (Qdt.Obs.Clock.elapsed_ns t0))
-  done;
+let minor_words (b : bench) =
   let w0 = Gc.minor_words () in
-  ignore (run ());
-  let minor = Gc.minor_words () -. w0 in
-  (!best, minor)
+  b.fn ();
+  Gc.minor_words () -. w0
 
 let e18 ~smoke () =
   header "E18" "Unboxed numeric substrate: boxed vs flat-float engines";
-  let reps = !reps_flag in
   let sv_workloads =
     if smoke then
       [
@@ -1070,76 +1104,65 @@ let e18 ~smoke () =
         ("qft", Generators.qft 14);
       ]
   in
-  Printf.printf "%16s | %12s | %12s | %7s | %13s | %13s | %6s\n" "workload"
-    "boxed (ms)" "unboxed (ms)" "speedup" "boxed w/gate" "unbox w/gate" "alloc/";
-  let min_speedup = ref infinity in
-  List.iter
-    (fun (name, c) ->
-      let gates = float_of_int (max 1 (Circuit.count_total c)) in
-      let boxed_ns, boxed_minor =
-        e18_measure ~reps (fun () -> Qdt_ref.Sv_ref.run_unitary c)
-      in
-      let unboxed_ns, unboxed_minor =
-        e18_measure ~reps (fun () -> Qdt.Arrays.Statevector.run_unitary c)
-      in
-      let speedup = boxed_ns /. unboxed_ns in
-      let boxed_wpg = boxed_minor /. gates and unboxed_wpg = unboxed_minor /. gates in
-      let alloc_reduction = boxed_wpg /. Float.max unboxed_wpg 1e-9 in
-      min_speedup := Float.min !min_speedup speedup;
-      Printf.printf "%16s | %12.3f | %12.3f | %6.2fx | %13.0f | %13.1f | %5.0fx\n" name
-        (boxed_ns /. 1e6) (unboxed_ns /. 1e6) speedup boxed_wpg unboxed_wpg
-        alloc_reduction;
-      let m key v = metric_float (Printf.sprintf "sv.%s.%s" name key) v in
-      m "boxed_wall_ms" (boxed_ns /. 1e6);
-      m "unboxed_wall_ms" (unboxed_ns /. 1e6);
-      m "speedup" speedup;
-      m "boxed_minor_words_per_gate" boxed_wpg;
-      m "unboxed_minor_words_per_gate" unboxed_wpg;
-      m "minor_words_reduction" alloc_reduction;
-      metric_int (Printf.sprintf "sv.%s.gates" name) (int_of_float gates))
-    sv_workloads;
+  (* The deep workload keeps the labels e18/sv-boxed and e18/sv-unboxed. *)
+  let sv_label name = if name = "clifford-t-deep" then "sv" else "sv-" ^ name in
   (* MPS: same comparison through the boxed reference two-qubit/SVD path. *)
   let mps_n = if smoke then 8 else 12 in
   let mps_layers = if smoke then 3 else 6 in
   let mps_c = e18_mps_ansatz ~layers:mps_layers mps_n in
   let max_bond = 32 in
-  let mps_gates = float_of_int (max 1 (Circuit.count_total mps_c)) in
-  let boxed_ns, boxed_minor =
-    e18_measure ~reps (fun () -> Qdt_ref.Mps_ref.run ~max_bond mps_c)
+  let pair label boxed unboxed =
+    [ bench (label ^ "-boxed") boxed; bench (label ^ "-unboxed") unboxed ]
   in
-  let unboxed_ns, unboxed_minor =
-    e18_measure ~reps (fun () -> Qdt.Tensornet.Mps.run ~max_bond mps_c)
+  let benches =
+    List.concat_map
+      (fun (name, c) ->
+        pair (sv_label name)
+          (fun () -> Qdt_ref.Sv_ref.run_unitary c)
+          (fun () -> Qdt.Arrays.Statevector.run_unitary c))
+      sv_workloads
+    @ pair "mps"
+        (fun () -> Qdt_ref.Mps_ref.run ~max_bond mps_c)
+        (fun () -> Qdt.Tensornet.Mps.run ~max_bond mps_c)
   in
-  let speedup = boxed_ns /. unboxed_ns in
-  let boxed_wpg = boxed_minor /. mps_gates and unboxed_wpg = unboxed_minor /. mps_gates in
-  Printf.printf "%16s | %12.3f | %12.3f | %6.2fx | %13.0f | %13.0f | %5.1fx\n"
-    (Printf.sprintf "mps-ansatz-%d" mps_n)
-    (boxed_ns /. 1e6) (unboxed_ns /. 1e6) speedup boxed_wpg unboxed_wpg
-    (boxed_wpg /. Float.max unboxed_wpg 1e-9);
-  metric_float "mps.boxed_wall_ms" (boxed_ns /. 1e6);
-  metric_float "mps.unboxed_wall_ms" (unboxed_ns /. 1e6);
-  metric_float "mps.speedup" speedup;
-  metric_float "mps.boxed_minor_words_per_gate" boxed_wpg;
-  metric_float "mps.unboxed_minor_words_per_gate" unboxed_wpg;
+  run_timings ~name:"e18" benches;
+  Printf.printf "\n%16s | %12s | %12s | %13s | %13s | %6s | %s\n" "workload" "boxed (ms)"
+    "unboxed (ms)" "boxed w/gate" "unbox w/gate" "alloc/" "speedup";
+  (* One table row; returns the gate's speedup, read on the fastest
+     samples. *)
+  let row ~key name label c =
+    let gates = float_of_int (max 1 (Circuit.count_total c)) in
+    let arm suffix = List.find (fun b -> b.label = label ^ suffix) benches in
+    let boxed = timing "e18" (label ^ "-boxed") and unboxed = timing "e18" (label ^ "-unboxed") in
+    let boxed_wpg = minor_words (arm "-boxed") /. gates in
+    let unboxed_wpg = minor_words (arm "-unboxed") /. gates in
+    let alloc_reduction = boxed_wpg /. Float.max unboxed_wpg 1e-9 in
+    Printf.printf "%16s | %12.3f | %12.3f | %13.0f | %13.1f | %5.0fx | %s\n" name (ms boxed)
+      (ms unboxed) boxed_wpg unboxed_wpg alloc_reduction (versus boxed unboxed);
+    metric_versus (key ^ ".speedup") boxed unboxed;
+    metric_float (key ^ ".boxed_minor_words_per_gate") boxed_wpg;
+    metric_float (key ^ ".unboxed_minor_words_per_gate") unboxed_wpg;
+    metric_float (key ^ ".minor_words_reduction") alloc_reduction;
+    metric_int (key ^ ".gates") (int_of_float gates);
+    boxed.Stats.min /. unboxed.Stats.min
+  in
+  let min_speedup =
+    List.fold_left
+      (fun acc (name, c) -> Float.min acc (row ~key:("sv." ^ name) name (sv_label name) c))
+      infinity sv_workloads
+  in
+  ignore (row ~key:"mps" (Printf.sprintf "mps-ansatz-%d" mps_n) "mps" mps_c);
   metric_int "mps.num_qubits" mps_n;
-  metric_int "mps.gates" (int_of_float mps_gates);
-  metric_float "min_sv_speedup" !min_speedup;
-  Printf.printf "\n  minimum statevector speedup: %.2fx (guard: must be >= 1)\n"
-    !min_speedup;
-  if !min_speedup < 1.0 then begin
+  metric_float "min_sv_speedup" min_speedup;
+  Printf.printf
+    "\n  minimum statevector speedup, fastest samples: %.2fx (guard: must be >= 1)\n"
+    min_speedup;
+  if min_speedup < 1.0 then begin
     Printf.eprintf
       "E18 FAILED: unboxed statevector is slower than the boxed baseline (%.2fx)\n"
-      !min_speedup;
+      min_speedup;
     exit 1
-  end;
-  let deep = List.assoc "clifford-t-deep" sv_workloads in
-  run_timings ~name:"e18"
-    [
-      bench "sv-boxed" (fun () -> ignore (Qdt_ref.Sv_ref.run_unitary deep));
-      bench "sv-unboxed" (fun () -> ignore (Qdt.Arrays.Statevector.run_unitary deep));
-      bench "mps-boxed" (fun () -> ignore (Qdt_ref.Mps_ref.run ~max_bond mps_c));
-      bench "mps-unboxed" (fun () -> ignore (Qdt.Tensornet.Mps.run ~max_bond mps_c));
-    ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E19: dynamic circuits — static sampling path vs per-shot execution  *)
@@ -1155,75 +1178,51 @@ let e18 ~smoke () =
    cycle exercise per-shot execution on arrays, decision diagrams and
    the stabilizer tableau. *)
 
-let e19_measure_all c =
-  let n = Circuit.num_qubits c in
-  let base =
-    List.fold_left
-      (fun acc i -> Circuit.add i acc)
-      (Circuit.empty n ~clbits:n)
-      (Circuit.instructions c)
-  in
-  let rec go q acc =
-    if q >= n then acc else go (q + 1) (Circuit.measure ~qubit:q ~clbit:q acc)
-  in
-  go 0 base
-
 let e19 ~smoke () =
   header "E19" "Dynamic circuits: static sampling path vs per-shot execution";
   let shots = if smoke then 200 else 2000 in
   let n = if smoke then 8 else 12 in
   let static_unitary = Generators.ghz n in
-  let static_final = e19_measure_all static_unitary in
+  let static_final = Circuit.measure_all static_unitary in
   let teleport = Generators.teleportation () in
   let rus = Generators.repeat_until_success ~rounds:3 () in
   let repetition = Generators.repetition_code ~cycles:(if smoke then 1 else 3) () in
-  let sample backend c () = ignore (Qdt.sample ~backend ~seed:5 ~shots c) in
   let workloads =
     [
-      ("ghz-unitary-arrays", Qdt.Arrays_backend, static_unitary);
-      ("ghz-measured-arrays", Qdt.Arrays_backend, static_final);
-      ("ghz-measured-dd", Qdt.Decision_diagrams, static_final);
-      ("teleport-arrays", Qdt.Arrays_backend, teleport);
-      ("teleport-dd", Qdt.Decision_diagrams, teleport);
-      ("teleport-stabilizer", Qdt.Stabilizer_backend, teleport);
-      ("rus-arrays", Qdt.Arrays_backend, rus);
-      ("repetition-stabilizer", Qdt.Stabilizer_backend, repetition);
+      ("ghz-unitary-arrays", "arrays", static_unitary);
+      ("ghz-measured-arrays", "arrays", static_final);
+      ("ghz-measured-dd", "decision-diagrams", static_final);
+      ("teleport-arrays", "arrays", teleport);
+      ("teleport-dd", "decision-diagrams", teleport);
+      ("teleport-stabilizer", "stabilizer", teleport);
+      ("rus-arrays", "arrays", rus);
+      ("repetition-stabilizer", "stabilizer", repetition);
     ]
   in
-  Printf.printf "%24s | %12s | %12s | %7s\n" "workload" "wall (ms)"
-    "shots/sec" "dynamic";
-  let throughput = ref [] in
+  let job = Qdt.Job.Sample { seed = 5; shots } in
+  run_timings ~name:"e19"
+    (List.map
+       (fun (wname, backend, c) ->
+         let e = engine backend in
+         bench wname (fun () -> run_ok e c job))
+       workloads);
+  Printf.printf "\n%24s | %12s | %12s | %7s\n" "workload" "wall (ms)" "shots/sec" "dynamic";
   List.iter
-    (fun (wname, backend, c) ->
-      let best_ns, _minor = e18_measure ~reps:!reps_flag (sample backend c) in
-      let sps = float_of_int shots /. (best_ns /. 1e9) in
-      throughput := (wname, sps) :: !throughput;
-      Printf.printf "%24s | %12.3f | %12.0f | %7s\n" wname (best_ns /. 1e6) sps
+    (fun (wname, _, c) ->
+      let wall = timing "e19" wname in
+      let sps = float_of_int shots /. (wall.Stats.median /. 1e9) in
+      Printf.printf "%24s | %12.3f | %12.0f | %7s\n" wname (ms wall) sps
         (if Circuit.is_dynamic c then "yes" else "-");
-      metric_float (wname ^ ".wall_ms") (best_ns /. 1e6);
       metric_float (wname ^ ".shots_per_sec") sps)
     workloads;
   (* Headline number: how much the per-shot path costs relative to the
-     simulate-once-then-sample path on the same backend. *)
-  (match
-     ( List.assoc_opt "ghz-measured-arrays" !throughput,
-       List.assoc_opt "teleport-arrays" !throughput )
-   with
-  | Some static_sps, Some dyn_sps when dyn_sps > 0.0 ->
-      let ratio = static_sps /. dyn_sps in
-      Printf.printf
-        "\n  arrays static-path / per-shot-path throughput: %.1fx\n" ratio;
-      metric_float "arrays.static_over_dynamic_ratio" ratio
-  | _ -> ());
+     simulate-once-then-sample path on the same backend (the ratio of
+     throughputs is the inverse ratio of wall times). *)
+  let per_shot = timing "e19" "teleport-arrays" and static = timing "e19" "ghz-measured-arrays" in
+  Printf.printf "\n  arrays static-path / per-shot-path throughput: %s\n" (versus per_shot static);
+  metric_versus "arrays.static_over_dynamic_ratio" per_shot static;
   metric_int "shots" shots;
-  metric_int "ghz_qubits" n;
-  run_timings ~name:"e19"
-    [
-      bench "ghz-measured-arrays" (sample Qdt.Arrays_backend static_final);
-      bench "teleport-arrays" (sample Qdt.Arrays_backend teleport);
-      bench "teleport-dd" (sample Qdt.Decision_diagrams teleport);
-      bench "repetition-stabilizer" (sample Qdt.Stabilizer_backend repetition);
-    ]
+  metric_int "ghz_qubits" n
 
 (* ------------------------------------------------------------------ *)
 (* E20: multicore scaling — speedup vs. domain count                   *)
@@ -1232,20 +1231,16 @@ let e19 ~smoke () =
 (* Three workload shapes across the Qdt_par substrate: a 20+-qubit
    statevector gate sweep (kernel chunking), a 1000-trajectory noise run
    (trajectory blocks), and dynamic per-shot sampling (split RNG
-   streams).  Each is timed at jobs ∈ {1, 2, 4}; jobs = 1 is the serial
-   reference.  The gate scales with the machine: on >= 4 cores it
-   demands real speedup at 4 domains, on fewer cores (where 4 domains
-   oversubscribe them) it only guards against sub-linear collapse —
-   parallel overhead must not eat more than a bounded fraction of the
-   serial time.  The jobs = 2 and jobs = 4 sampled counts are asserted
-   identical, pinning the split-stream determinism contract. *)
+   streams).  Each is timed at jobs ∈ {1, 2, 4}, all nine interleaved;
+   jobs = 1 is the serial reference.  The gate scales with the machine:
+   on >= 4 cores it demands real speedup at 4 domains, on fewer cores
+   (where 4 domains oversubscribe them) it only guards against
+   sub-linear collapse — parallel overhead must not eat more than a
+   bounded fraction of the serial time.  Both read the fastest samples.
+   The jobs = 2 and jobs = 4 sampled counts are asserted identical,
+   pinning the split-stream determinism contract. *)
 
 let e20_job_counts = [ 1; 2; 4 ]
-
-let e20_measure_at jobs run =
-  Qdt.Par.set_jobs jobs;
-  let best_ns, _minor = e18_measure ~reps:!reps_flag run in
-  best_ns
 
 let e20 ~smoke () =
   header "E20" "Multicore scaling: domain pool speedup vs. job count";
@@ -1257,41 +1252,49 @@ let e20 ~smoke () =
   let traj_c = Generators.ghz (if smoke then 8 else 10) in
   let noise = Qdt.Arrays.Trajectories.depolarizing 0.01 in
   let teleport = Generators.teleportation () in
+  let arrays = engine "arrays" in
+  let shots_job = Qdt.Job.Sample { seed = 5; shots } in
   let workloads =
     [
-      ( "sweep",
-        fun () -> ignore (Qdt.Arrays.Statevector.run_unitary sweep_c) );
+      ("sweep", fun () -> ignore (Qdt.Arrays.Statevector.run_unitary sweep_c));
       ( "trajectories",
         fun () ->
           ignore
             (Qdt.Arrays.Trajectories.average_probabilities ~seed:3 ~noise
                ~trajectories traj_c) );
-      ( "dynamic-shots",
-        fun () ->
-          ignore (Qdt.sample ~backend:Qdt.Arrays_backend ~seed:5 ~shots teleport) );
+      ("dynamic-shots", fun () -> ignore (run_ok arrays teleport shots_job));
     ]
   in
-  Printf.printf "recommended domain count: %d\n" cores;
+  let label wname j = Printf.sprintf "%s-jobs%d" wname j in
+  (* Before each batch: the batch's job count.  Jobs 1 also drops the
+     pool an earlier jobs-4 batch spawned, as a --jobs 1 process has
+     none, and one untimed run settles the state and heap at the new
+     count. *)
+  let at j run () =
+    Qdt.Par.set_jobs j;
+    if j = 1 then Qdt.Par.shutdown ();
+    run ()
+  in
+  run_timings ~name:"e20"
+    (List.concat_map
+       (fun (wname, run) ->
+         List.map (fun j -> bench ~setup:(at j run) (label wname j) run) e20_job_counts)
+       workloads);
+  Printf.printf "\nrecommended domain count: %d\n" cores;
   if cores < 2 then print_endline "one core: no speedup ratio is recorded as a scaling claim";
-  Printf.printf "%16s | %12s | %12s | %12s | %8s | %8s\n" "workload" "jobs=1 (ms)"
+  Printf.printf "%16s | %12s | %12s | %12s | %-18s | %s\n" "workload" "jobs=1 (ms)"
     "jobs=2 (ms)" "jobs=4 (ms)" "x @2" "x @4";
-  let speedups = ref [] in
   List.iter
-    (fun (wname, run) ->
-      let times = List.map (fun j -> (j, e20_measure_at j run)) e20_job_counts in
-      let t1 = List.assoc 1 times in
-      List.iter
-        (fun (j, t) ->
-          metric_float (Printf.sprintf "%s.jobs%d_wall_ms" wname j) (t /. 1e6);
-          (* One core cannot speed anything up: a ratio there measures
-             pool overhead, so it is not recorded as a scaling claim. *)
-          if j > 1 && cores >= 2 then
-            metric_float (Printf.sprintf "%s.speedup%d" wname j) (t1 /. t))
-        times;
-      let t2 = List.assoc 2 times and t4 = List.assoc 4 times in
-      speedups := (wname, t1 /. t4) :: !speedups;
-      Printf.printf "%16s | %12.3f | %12.3f | %12.3f | %7.2fx | %7.2fx\n" wname
-        (t1 /. 1e6) (t2 /. 1e6) (t4 /. 1e6) (t1 /. t2) (t1 /. t4))
+    (fun (wname, _) ->
+      let t j = timing "e20" (label wname j) in
+      Printf.printf "%16s | %12.3f | %12.3f | %12.3f | %-18s | %s\n" wname (ms (t 1)) (ms (t 2))
+        (ms (t 4)) (versus (t 1) (t 2)) (versus (t 1) (t 4));
+      (* One core cannot speed anything up: a ratio there measures pool
+         overhead, so it is not recorded as a scaling claim. *)
+      if cores >= 2 then
+        List.iter
+          (fun j -> metric_versus (Printf.sprintf "%s.speedup%d" wname j) (t 1) (t j))
+          [ 2; 4 ])
     workloads;
   metric_int "cores" cores;
   metric_int "sweep_qubits" sweep_n;
@@ -1299,18 +1302,20 @@ let e20 ~smoke () =
   metric_int "shots" shots;
   (* Determinism pin: identical dynamic counts at every parallel job
      count (the jobs >= 2 contract; jobs = 1 keeps the legacy stream). *)
-  Qdt.Par.set_jobs 2;
-  let counts2 = Qdt.sample ~backend:Qdt.Arrays_backend ~seed:5 ~shots teleport in
-  Qdt.Par.set_jobs 4;
-  let counts4 = Qdt.sample ~backend:Qdt.Arrays_backend ~seed:5 ~shots teleport in
+  let counts j =
+    Qdt.Par.set_jobs j;
+    run_ok arrays teleport shots_job
+  in
+  let counts2 = counts 2 in
+  let counts4 = counts 4 in
   if counts2 <> counts4 then begin
     Printf.eprintf "E20 FAILED: dynamic counts differ between jobs=2 and jobs=4\n";
     exit 1
   end;
   Printf.printf "\n  jobs=2 and jobs=4 dynamic counts: identical (determinism pin)\n";
-  (* Scaling gate. *)
+  (* Scaling gate, on the fastest samples. *)
   let demand wname floor =
-    let s = List.assoc wname !speedups in
+    let s = (timing "e20" (label wname 1)).Stats.min /. (timing "e20" (label wname 4)).Stats.min in
     if s < floor then begin
       Printf.eprintf "E20 FAILED: %s speedup at 4 domains is %.2fx (floor %.2fx)\n"
         wname s floor;
@@ -1332,22 +1337,8 @@ let e20 ~smoke () =
     Printf.printf
       "  gate (%d cores): collapse guard only (fewer than 4 cores; >= 0.25x)\n"
       cores;
-    List.iter (fun (wname, _) -> demand wname 0.25) !speedups
+    List.iter (fun (wname, _) -> demand wname 0.25) workloads
   end;
-  (* Baseline-gated timings: serial and 2-domain flavours of each shape.
-     set_jobs inside the thunk so harness batching cannot leak a stale
-     job count into the measurement. *)
-  let at j run () = Qdt.Par.set_jobs j; run () in
-  let sweep_run = List.assoc "sweep" workloads in
-  let traj_run = List.assoc "trajectories" workloads in
-  let shots_run = List.assoc "dynamic-shots" workloads in
-  run_timings ~name:"e20"
-    [
-      bench "sweep-jobs1" (at 1 sweep_run);
-      bench "sweep-jobs2" (at 2 sweep_run);
-      bench "trajectories-jobs2" (at 2 traj_run);
-      bench "dynamic-shots-jobs2" (at 2 shots_run);
-    ];
   (* Leave the process the way the other experiments expect it. *)
   Qdt.Par.set_jobs 1;
   Qdt.Par.shutdown ()
@@ -1366,7 +1357,8 @@ let e20 ~smoke () =
         2% budget — labels and peaks ride the same one-load gate;
      2. a full Report bracket (start / run / finish) must cost at most
         5% of the plain wall time — the price of `--report` on every
-        simulation a service runs. *)
+        simulation a service runs.
+   Both bounds divide by the fastest plain sample. *)
 
 let e21_report_budget_pct = 5.0
 
@@ -1375,50 +1367,43 @@ let e21 ~smoke () =
   let n = if smoke then 8 else 10 in
   let gates = if smoke then 400 else 2000 in
   let c = Generators.random_clifford_t ~seed:11 ~gates ~t_fraction:0.2 n in
-  let reps = !reps_flag in
   let run_once () =
     let st = Qdt.Dd.Sim.make (Qdt.Dd.Pkg.create ()) (Circuit.num_qubits c) in
     ignore (Circuit.execute c ~rng:(Random.State.make [| 0 |]) (Qdt.Dd.Sim.apply_instruction st))
   in
-  (* Everything off: the shipping default. *)
-  Qdt.Obs.Metrics.set_enabled false;
-  Qdt.Obs.Trace.set_enabled false;
-  run_once () (* warm up *);
-  let t_plain = best_of ~reps run_once in
-  (* Labeled metrics + peaks live. *)
-  Qdt.Obs.Metrics.set_enabled true;
-  let t_instr = best_of ~reps run_once in
+  (* Everything off, the shipping default, or labeled metrics and peaks
+     live.  A report bracket turns metrics on for its run and restores
+     the flag. *)
+  let metrics on () =
+    Qdt.Obs.Metrics.set_enabled on;
+    Qdt.Obs.Trace.set_enabled false
+  in
+  let reported body () =
+    let rep = Qdt.Obs.Report.start () in
+    body ();
+    Qdt.Obs.Report.finish rep
+  in
+  run_timings ~name:"e21"
+    [
+      bench "deep-clifford-t-plain" ~setup:(metrics false) run_once;
+      bench "deep-clifford-t-instrumented" ~setup:(metrics true) run_once;
+      bench "deep-clifford-t-reported" ~setup:(metrics false) (reported run_once);
+      (* The bracket's own cost, isolated: start/finish around an empty
+         body, against the registry the instrumented runs populated.  Like
+         e17's disabled-mode bound, this analytic form (bracket cost /
+         wall) is immune to the run-to-run noise that swamps a direct
+         wall comparison on a workload this size. *)
+      bench "report-bracket" ~setup:(metrics false) (reported ignore);
+    ];
   (* The peak raises one run executes: the DD engine's one per job
      (counted even though this harness drives Sim directly, so the bound
      stays conservative).  Labeled counters in this workload fire per
      backend entry, not per gate — the per-gate counters are the
      e17-audited plain ones. *)
   let new_ops_per_run = 1 in
-  Qdt.Obs.Metrics.set_enabled false;
-  (* Full report bracket around every run. *)
-  let t_reported =
-    best_of ~reps (fun () ->
-        let rep = Qdt.Obs.Report.start () in
-        run_once ();
-        ignore (Qdt.Obs.Report.finish rep))
-  in
-  (* The bracket's own cost, isolated: start/finish around an empty body,
-     against the registry the instrumented runs populated.  Like e17's
-     disabled-mode bound, this analytic form (bracket cost / wall) is
-     immune to the run-to-run noise that swamps a direct wall comparison
-     on a workload this size. *)
-  let bracket_iters = 200 in
-  let bracket_ns =
-    best_of ~reps (fun () ->
-        for _ = 1 to bracket_iters do
-          let rep = Qdt.Obs.Report.start () in
-          ignore (Qdt.Obs.Report.finish rep)
-        done)
-    /. float_of_int bracket_iters
-  in
-  let report_overhead_pct = 100.0 *. bracket_ns /. t_plain in
   (* Disabled per-call cost of the new primitives: a labeled counter
      increment plus a peak raise, flag off. *)
+  metrics false ();
   let probe_c = Qdt.Obs.Metrics.counter_with ~labels:[ ("probe", "e21") ] "e21.probe" in
   let probe_p = Qdt.Obs.Metrics.peak "e21.probe" in
   let probe_iters = 5_000_000 in
@@ -1432,30 +1417,32 @@ let e21 ~smoke () =
   in
   Qdt.Obs.Metrics.remove "e21.probe{probe=\"e21\"}";
   Qdt.Obs.Metrics.remove "e21.probe";
+  metrics true ();
+  let t = timing "e21" in
+  let plain = t "deep-clifford-t-plain" and bracket = t "report-bracket" in
+  let instrumented = t "deep-clifford-t-instrumented" and reported = t "deep-clifford-t-reported" in
+  let report_overhead_pct = 100.0 *. bracket.Stats.min /. plain.Stats.min in
   let disabled_bound_pct =
-    100.0 *. (float_of_int new_ops_per_run *. per_op_ns) /. t_plain
+    100.0 *. (float_of_int new_ops_per_run *. per_op_ns) /. plain.Stats.min
   in
-  let pct t = 100.0 *. ((t -. t_plain) /. t_plain) in
   Printf.printf
-    "workload: random Clifford+T, n=%d, %d gates (DD backend, %d reps, best-of)\n\n"
-    n gates reps;
-  Printf.printf "  plain (obs disabled)      %9.2f ms\n" (t_plain /. 1e6);
-  Printf.printf "  labels + watermarks       %9.2f ms  (%+.2f%%)\n" (t_instr /. 1e6)
-    (pct t_instr);
-  Printf.printf "  full report bracket       %9.2f ms  (%+.2f%%)\n" (t_reported /. 1e6)
-    (pct t_reported);
+    "\nworkload: random Clifford+T, n=%d, %d gates (DD backend, %d interleaved reps)\n\n"
+    n gates !reps_flag;
+  Printf.printf "  plain (obs disabled)      %9.2f ms\n" (ms plain);
+  Printf.printf "  labels + watermarks       %9.2f ms  %s\n" (ms instrumented)
+    (versus instrumented plain);
+  Printf.printf "  full report bracket       %9.2f ms  %s\n" (ms reported) (versus reported plain);
+  Printf.printf "  report bracket alone      %9.1f us\n" (bracket.Stats.median /. 1e3);
   Printf.printf "\n  new instrumentation calls per run: %d\n" new_ops_per_run;
   Printf.printf "  disabled labeled+watermark cost: %.2f ns/call\n" per_op_ns;
-  Printf.printf "  disabled-mode overhead bound: %.4f%% of plain wall (budget: %.1f%%)\n"
+  Printf.printf
+    "  disabled-mode overhead bound: %.4f%% of the fastest plain sample (budget: %.1f%%)\n"
     disabled_bound_pct e17_overhead_budget_pct;
-  Printf.printf "  report bracket cost: %.1f us -> %.4f%% of plain wall (budget: %.1f%%)\n"
-    (bracket_ns /. 1e3) report_overhead_pct e21_report_budget_pct;
-  metric_float "plain_wall_ms" (t_plain /. 1e6);
-  metric_float "instrumented_wall_ms" (t_instr /. 1e6);
-  metric_float "reported_wall_ms" (t_reported /. 1e6);
-  metric_float "instrumented_overhead_pct" (pct t_instr);
-  metric_float "reported_wall_delta_pct" (pct t_reported);
-  metric_float "report_bracket_us" (bracket_ns /. 1e3);
+  Printf.printf
+    "  report bracket cost: fastest %.1f us -> %.4f%% of the fastest plain sample (budget: %.1f%%)\n"
+    (bracket.Stats.min /. 1e3) report_overhead_pct e21_report_budget_pct;
+  metric_versus "instrumented_vs_plain" instrumented plain;
+  metric_versus "reported_vs_plain" reported plain;
   metric_float "report_overhead_pct" report_overhead_pct;
   metric_int "new_instrumentation_calls_per_run" new_ops_per_run;
   metric_float "disabled_per_call_ns" per_op_ns;
@@ -1472,21 +1459,7 @@ let e21 ~smoke () =
       "E21 FAILED: report-bracket overhead %.4f%% of wall exceeds the %.1f%% budget\n"
       report_overhead_pct e21_report_budget_pct;
     exit 1
-  end;
-  Qdt.Obs.Metrics.set_enabled true;
-  run_timings ~name:"e21"
-    [
-      bench "deep-clifford-t-plain" (fun () ->
-          Qdt.Obs.Metrics.set_enabled false;
-          run_once ());
-      bench "deep-clifford-t-instrumented" (fun () ->
-          Qdt.Obs.Metrics.set_enabled true;
-          run_once ());
-      bench "deep-clifford-t-reported" (fun () ->
-          let rep = Qdt.Obs.Report.start () in
-          run_once ();
-          ignore (Qdt.Obs.Report.finish rep));
-    ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E22: sessions — warm vs cold DD engines on repeated jobs            *)
@@ -1498,8 +1471,8 @@ let e21 ~smoke () =
    caches instead of rebuilding them per request (the amortizable
    structures of DAC'22 §III / arXiv:2108.07027).  Cold = a fresh
    engine per job (exactly what every [Backend.run_once] call does);
-   warm = one engine for the whole batch.  The gate fails if warm is
-   not faster than cold. *)
+   warm = one engine for the whole batch.  The gate fails if the fastest
+   warm batch is not faster than the fastest cold one. *)
 
 let e22 ~smoke () =
   header "E22" "Sessions: warm vs cold DD engines on repeated Clifford+T jobs";
@@ -1510,13 +1483,8 @@ let e22 ~smoke () =
   let n = if smoke then 6 else 7 in
   let gates = if smoke then 120 else 180 in
   let jobs = if smoke then 6 else 10 in
-  let reps = !reps_flag in
   let c = Generators.random_clifford_t ~seed:13 ~gates ~t_fraction:0.25 n in
-  let (module S : Qdt.Backend.SESSION) =
-    match Qdt.Registry.find_session "decision-diagrams" with
-    | Some m -> m
-    | None -> failwith "decision-diagrams session engine not registered"
-  in
+  let (module S : Qdt.Backend.SESSION) = engine "decision-diagrams" in
   (* Amplitude jobs: full DD evolution per job, O(n) payload read — the
      timing is cache behavior, not payload densification. *)
   let job = Qdt.Job.Amplitude 0 in
@@ -1539,10 +1507,20 @@ let e22 ~smoke () =
     done;
     S.close s
   in
-  run_cold () (* warm up *);
-  let t_cold = best_of ~reps run_cold in
-  run_warm () (* warm up *);
-  let t_warm = best_of ~reps run_warm in
+  let warm_s = S.create () in
+  ignore (submit_ok warm_s) (* prime the engine for the warm-job timing *);
+  run_timings ~name:"e22"
+    [
+      bench "cold-batch" run_cold;
+      bench "warm-batch" run_warm;
+      bench "cold-session-job" (fun () ->
+          let s = S.create () in
+          let st = submit_ok s in
+          S.close s;
+          st);
+      bench "warm-session-job" (fun () -> submit_ok warm_s);
+    ];
+  S.close warm_s;
   (* Where the speedup comes from: per-job cache-counter deltas across
      one warm batch. *)
   let s = S.create () in
@@ -1558,13 +1536,15 @@ let e22 ~smoke () =
     | None -> failwith "dd stats missing"
   in
   let d1 = dd_of first and dn = dd_of !last in
-  let speedup = t_cold /. t_warm in
+  let t = timing "e22" in
+  let cold = t "cold-batch" and warm = t "warm-batch" in
+  let cold_job = t "cold-session-job" and warm_job = t "warm-session-job" in
   Printf.printf
-    "workload: random Clifford+T, n=%d, %d gates, %d identical jobs per batch (%d reps, best-of)\n\n"
-    n gates jobs reps;
-  Printf.printf "  cold sessions (fresh engine per job)  %9.2f ms\n" (t_cold /. 1e6);
-  Printf.printf "  warm session  (one engine, %2d jobs)   %9.2f ms\n" jobs (t_warm /. 1e6);
-  Printf.printf "  speedup: %.2fx\n\n" speedup;
+    "\nworkload: random Clifford+T, n=%d, %d gates, %d identical jobs per batch (%d interleaved reps)\n\n"
+    n gates jobs !reps_flag;
+  Printf.printf "  cold sessions (fresh engine per job)  %9.2f ms\n" (ms cold);
+  Printf.printf "  warm session  (one engine, %2d jobs)   %9.2f ms\n" jobs (ms warm);
+  Printf.printf "  batch speedup: %s\n\n" (versus cold warm);
   Printf.printf "  job 1  compute-hit %5.1f%%  unique-hit %5.1f%%  gate-hit %5.1f%%  gc-runs %.0f\n"
     (100.0 *. d1 "compute_hit_rate")
     (100.0 *. d1 "unique_hit_rate")
@@ -1576,12 +1556,14 @@ let e22 ~smoke () =
     (100.0 *. dn "unique_hit_rate")
     (100.0 *. dn "gate_hit_rate")
     (dn "gc_runs");
+  (* The batch ratio includes the warm batch's first job, which runs
+     cold; this one compares single jobs on the warm path. *)
+  Printf.printf "\n  per-job speedup (cold job / warm job): %s\n" (versus cold_job warm_job);
   metric_int "qubits" n;
   metric_int "gates" gates;
   metric_int "jobs_per_batch" jobs;
-  metric_float "cold_batch_ms" (t_cold /. 1e6);
-  metric_float "warm_batch_ms" (t_warm /. 1e6);
-  metric_float "warm_speedup" speedup;
+  metric_versus "warm_speedup" cold warm;
+  metric_versus "warm_job_speedup" cold_job warm_job;
   metric_float "job1_compute_hit_rate" (d1 "compute_hit_rate");
   metric_float "jobN_compute_hit_rate" (dn "compute_hit_rate");
   metric_float "job1_unique_hit_rate" (d1 "unique_hit_rate");
@@ -1590,31 +1572,12 @@ let e22 ~smoke () =
   metric_float "jobN_gate_hit_rate" (dn "gate_hit_rate");
   metric_int "job1_gc_runs" (int_of_float (d1 "gc_runs"));
   metric_int "jobN_gc_runs" (int_of_float (dn "gc_runs"));
-  if t_warm >= t_cold then begin
+  if warm.Stats.min >= cold.Stats.min then begin
     Printf.eprintf
-      "E22 FAILED: warm session batch (%.2f ms) is not faster than cold (%.2f ms)\n"
-      (t_warm /. 1e6) (t_cold /. 1e6);
+      "E22 FAILED: fastest warm session batch (%.2f ms) is not faster than cold (%.2f ms)\n"
+      (warm.Stats.min /. 1e6) (cold.Stats.min /. 1e6);
     exit 1
-  end;
-  let warm_s = S.create () in
-  ignore (submit_ok warm_s) (* prime the engine for the warm timing *);
-  run_timings ~name:"e22"
-    [
-      bench "cold-session-job" (fun () ->
-          let s = S.create () in
-          let st = submit_ok s in
-          S.close s;
-          st);
-      bench "warm-session-job" (fun () -> submit_ok warm_s);
-    ];
-  S.close warm_s;
-  (* The batch ratio above includes the warm batch's first job, which
-     runs cold; this one compares single jobs on the warm path. *)
-  let median label = (List.assoc ("e22/" ^ label) !json_timings).Stats.median in
-  let job_speedup = median "cold-session-job" /. median "warm-session-job" in
-  Printf.printf "  per-job speedup (cold job / warm job medians): %.2fx (batch: %.2fx)\n"
-    job_speedup speedup;
-  metric_float "warm_job_speedup" job_speedup
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E23: serve — HTTP/JSONL job throughput, tail latency, warm sessions *)
@@ -1633,7 +1596,6 @@ let e23 ~smoke () =
   header "E23" "Serve: HTTP job throughput, tail latency, and warm sessions";
   let clients = if smoke then 4 else 6 in
   let jobs_per_client = if smoke then 10 else 40 in
-  let reps = !reps_flag in
   let n = if smoke then 6 else 7 in
   let gates = if smoke then 120 else 180 in
   let qasm =
@@ -1664,50 +1626,17 @@ let e23 ~smoke () =
       s.Qdt_serve.Loadgen.failed;
     exit 1
   end;
-  (* Warm vs cold over HTTP, best-of like every other gate here.  One
-     job kind so the batches are identical apart from session reuse. *)
-  let best_wall ~use_sessions =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let r = load ~mix:[ `Amplitude ] ~use_sessions () in
-      if r.Qdt_serve.Loadgen.failed > 0 then begin
-        Printf.eprintf "E23 FAILED: jobs failed during warm/cold timing\n";
-        exit 1
-      end;
-      best := Float.min !best r.Qdt_serve.Loadgen.wall_s
-    done;
-    !best
+  (* Warm vs cold over HTTP: one loadgen batch per call, with one job
+     kind so the batches are identical apart from session reuse. *)
+  let batch ~use_sessions () =
+    let r = load ~mix:[ `Amplitude ] ~use_sessions () in
+    if r.Qdt_serve.Loadgen.failed > 0 then begin
+      Printf.eprintf "E23 FAILED: jobs failed during warm/cold timing\n";
+      exit 1
+    end
   in
-  ignore (best_wall ~use_sessions:true) (* warm up server + sessions *);
-  let t_cold = best_wall ~use_sessions:false in
-  let t_warm = best_wall ~use_sessions:true in
-  let speedup = t_cold /. t_warm in
-  Printf.printf
-    "\nworkload: random Clifford+T, n=%d, %d gates; %d clients x %d jobs (%d reps, best-of)\n\n"
-    n gates clients jobs_per_client reps;
-  Printf.printf "  cold (no session: engine per request)  %9.2f ms\n" (t_cold *. 1e3);
-  Printf.printf "  warm (per-client session reuse)        %9.2f ms\n" (t_warm *. 1e3);
-  Printf.printf "  speedup: %.2fx\n" speedup;
-  metric_int "qubits" n;
-  metric_int "gates" gates;
-  metric_int "clients" clients;
-  metric_int "jobs_per_client" jobs_per_client;
-  metric_float "jobs_per_s" s.Qdt_serve.Loadgen.jobs_per_s;
-  metric_int "p50_ns" s.Qdt_serve.Loadgen.p50_ns;
-  metric_int "p99_ns" s.Qdt_serve.Loadgen.p99_ns;
-  metric_int "max_ns" s.Qdt_serve.Loadgen.max_ns;
-  metric_int "retried_429" s.Qdt_serve.Loadgen.retried_429;
-  metric_float "cold_batch_ms" (t_cold *. 1e3);
-  metric_float "warm_batch_ms" (t_warm *. 1e3);
-  metric_float "warm_speedup" speedup;
-  if t_warm >= t_cold then begin
-    Printf.eprintf
-      "E23 FAILED: warm-session serving (%.2f ms) is not faster than cold (%.2f ms)\n"
-      (t_warm *. 1e3) (t_cold *. 1e3);
-    exit 1
-  end;
-  (* Per-request latency through the whole stack, for the baseline gate:
-     one HTTP round trip per thunk, warm session vs sessionless. *)
+  (* Per-request latency through the whole stack: one HTTP round trip
+     per call, warm session vs sessionless. *)
   let c = Qdt_serve.Client.connect ~host:"127.0.0.1" ~port in
   Fun.protect ~finally:(fun () -> Qdt_serve.Client.close c) @@ fun () ->
   let body ~session =
@@ -1728,9 +1657,34 @@ let e23 ~smoke () =
   post warm_body (* prime the warm session *);
   run_timings ~name:"e23"
     [
+      bench "loadgen-cold" (batch ~use_sessions:false);
+      bench "loadgen-warm" (batch ~use_sessions:true);
       bench "http-job-cold" (fun () -> post cold_body);
       bench "http-job-warm" (fun () -> post warm_body);
-    ]
+    ];
+  let cold = timing "e23" "loadgen-cold" and warm = timing "e23" "loadgen-warm" in
+  Printf.printf
+    "\nworkload: random Clifford+T, n=%d, %d gates; %d clients x %d jobs (%d interleaved reps)\n\n"
+    n gates clients jobs_per_client !reps_flag;
+  Printf.printf "  cold (no session: engine per request)  %9.2f ms\n" (ms cold);
+  Printf.printf "  warm (per-client session reuse)        %9.2f ms\n" (ms warm);
+  Printf.printf "  speedup: %s\n" (versus cold warm);
+  metric_int "qubits" n;
+  metric_int "gates" gates;
+  metric_int "clients" clients;
+  metric_int "jobs_per_client" jobs_per_client;
+  metric_float "jobs_per_s" s.Qdt_serve.Loadgen.jobs_per_s;
+  metric_int "p50_ns" s.Qdt_serve.Loadgen.p50_ns;
+  metric_int "p99_ns" s.Qdt_serve.Loadgen.p99_ns;
+  metric_int "max_ns" s.Qdt_serve.Loadgen.max_ns;
+  metric_int "retried_429" s.Qdt_serve.Loadgen.retried_429;
+  metric_versus "warm_speedup" cold warm;
+  if warm.Stats.min >= cold.Stats.min then begin
+    Printf.eprintf
+      "E23 FAILED: fastest warm-session serving batch (%.2f ms) is not faster than cold (%.2f ms)\n"
+      (warm.Stats.min /. 1e6) (cold.Stats.min /. 1e6);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -1807,10 +1761,15 @@ let compare_against_baseline ~experiment ~smoke =
             ()
         in
         Printf.printf
-          "\n[%s] vs %s (gate: best rep > max(median × %.2g, median + %g·MAD)):\n"
+          "\n[%s] vs %s (gate: fastest sample > max(median × %.2g, median + %g·MAD)):\n"
           experiment path Baseline.default_min_ratio Baseline.default_mad_k;
         print_string (Baseline.render cmp);
-        if cmp.Baseline.any_regressed then Some "timing regression" else None
+        (* A baselined timing this run did not produce fails: otherwise a
+           renamed or dropped label would silently lose its gate. *)
+        if cmp.Baseline.any_regressed then Some "timing regression"
+        else if cmp.Baseline.only_in_baseline <> [] then
+          Some ("baselined timing not measured: " ^ String.concat ", " cmp.Baseline.only_in_baseline)
+        else None
       end
 
 let update_baseline ~experiment ~smoke =

@@ -19,58 +19,6 @@ module Auto = Backend_auto
 module Shot_engine = Shot_engine
 module Features = Features
 
-type backend =
-  | Arrays_backend
-  | Decision_diagrams
-  | Tensor_network
-  | Mps
-  | Stabilizer_backend
-  | Auto_backend
-
-let backend_name = function
-  | Arrays_backend -> "arrays"
-  | Decision_diagrams -> "decision-diagrams"
-  | Tensor_network -> "tensor-network"
-  | Mps -> "mps"
-  | Stabilizer_backend -> "stabilizer"
-  | Auto_backend -> "auto"
-
-
-(* Every variant is registered at startup by {!Registry}. *)
-let backend_module b : Backend.engine =
-  match Registry.find_session (backend_name b) with
-  | Some m -> m
-  | None -> invalid_arg (Printf.sprintf "Qdt: backend %s not registered" (backend_name b))
-
-(* Compatibility shim: the historical API raised [Invalid_argument] on
-   unsupported combinations; the registry returns typed errors. *)
-let run op ~backend c job =
-  match Backend.run_once (backend_module backend) c job with
-  | Ok (result, _stats) -> result
-  | Error e -> invalid_arg (Printf.sprintf "Qdt.%s: %s" op (Backend.error_to_string e))
-
-let mismatch op = invalid_arg (Printf.sprintf "Qdt.%s: mismatched job payload" op)
-
-let simulate ~backend c =
-  match run "simulate" ~backend c Job.Full_state with
-  | Job.State v -> v
-  | _ -> mismatch "simulate"
-
-let amplitude ~backend c k =
-  match run "amplitude" ~backend c (Job.Amplitude k) with
-  | Job.Amplitude_of a -> a
-  | _ -> mismatch "amplitude"
-
-let sample ~backend ?(seed = 0) ~shots c =
-  match run "sample" ~backend c (Job.Sample { seed; shots }) with
-  | Job.Counts counts -> counts
-  | _ -> mismatch "sample"
-
-let expectation_z ~backend ?(seed = 0) c q =
-  match run "expectation_z" ~backend c (Job.Expectation_z { seed; qubit = q }) with
-  | Job.Expectation v -> v
-  | _ -> mismatch "expectation_z"
-
 type compiled = {
   circuit : Qdt_circuit.Circuit.t;
   added_swaps : int;

@@ -8,8 +8,10 @@
 
     {[
       let bell = Qdt.Circuit.Generators.bell in
-      let state = Qdt.simulate ~backend:Qdt.Decision_diagrams bell in
-      ...
+      let dd = Option.get (Qdt.Registry.find_session "decision-diagrams") in
+      match Qdt.Backend.run_once dd bell Qdt.Job.Full_state with
+      | Ok (Qdt.Job.State state, _stats) -> ...
+      | _ -> ...
     ]} *)
 
 (** {1 Re-exports} *)
@@ -88,47 +90,6 @@ module Shot_engine = Shot_engine
 (** Cheap circuit-feature analysis (qubits, depth, T-count, arity
     histogram, ...) shared by the [auto] router and run reports. *)
 module Features = Features
-
-(** {1 Simulation}
-
-    The historical closed-variant front door: each call is one
-    {!Backend.run_once} on the registered engine, and unsupported
-    combinations raise [Invalid_argument] as they always did (the
-    registry API returns typed errors instead). *)
-
-type backend =
-  | Arrays_backend          (** dense state vector (Section II) *)
-  | Decision_diagrams       (** QMDD simulation (Section III) *)
-  | Tensor_network          (** full-state TN contraction (Section IV) *)
-  | Mps                     (** matrix-product-state simulation (Section IV) *)
-  | Stabilizer_backend
-      (** tableau simulation — Clifford circuits only; supports
-          {!sample} and {!expectation_z} but not amplitudes *)
-  | Auto_backend
-      (** portfolio: routes each call to the backend the selection
-          heuristics favour (see {!Auto}) *)
-
-val backend_name : backend -> string
-
-(** [backend_module b] — the registered engine behind variant [b]. *)
-val backend_module : backend -> Backend.engine
-
-(** [simulate ~backend c] — final state of the unitary circuit [c] from
-    [|0…0⟩]; all backends agree up to numerical noise. *)
-val simulate : backend:backend -> Qdt_circuit.Circuit.t -> Qdt_linalg.Vec.t
-
-(** [amplitude ~backend c k] — ⟨k|C|0…0⟩ without necessarily building the
-    whole state (TN and MPS compute just the one amplitude). *)
-val amplitude : backend:backend -> Qdt_circuit.Circuit.t -> int -> Qdt_linalg.Cx.t
-
-(** [sample ~backend ?seed ~shots c] — measurement counts (array, DD, MPS
-    and stabilizer backends). *)
-val sample :
-  backend:backend -> ?seed:int -> shots:int -> Qdt_circuit.Circuit.t -> (int * int) list
-
-(** [expectation_z ~backend ?seed c q] — [⟨Z_q⟩] of the final state;
-    [seed] drives mid-circuit measurement collapse where supported. *)
-val expectation_z : backend:backend -> ?seed:int -> Qdt_circuit.Circuit.t -> int -> float
 
 (** {1 Compilation} *)
 

@@ -42,6 +42,9 @@ let summary samples =
     reps = Array.length samples;
   }
 
+let separated a b =
+  a.reps >= 5 && b.reps >= 5 && (a.max < b.min || b.max < a.min)
+
 let summary_to_json s =
   Printf.sprintf "{\"median\": %s, \"mad\": %s, \"min\": %s, \"max\": %s, \"reps\": %d}"
     (Json.float s.median) (Json.float s.mad) (Json.float s.min) (Json.float s.max)

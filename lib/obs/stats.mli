@@ -24,6 +24,13 @@ type summary = { median : float; mad : float; min : float; max : float; reps : i
 (** Raises [Invalid_argument] on an empty array. *)
 val summary : float array -> summary
 
+(** [separated a b] — each side has at least 5 samples and every sample
+    of one side beats every sample of the other ([a.max < b.min] or
+    [b.max < a.min]).  Two runs of identical code pass this 1 time in
+    126 at 5 samples each (2 / C(10,5)); the bench reports any A/B ratio
+    that fails it as unresolved. *)
+val separated : summary -> summary -> bool
+
 (** JSON object [{"median": m, "mad": d, "min": lo, "max": hi, "reps": n}]
     — the per-timing record stored in BENCH_<id>.json and baselines. *)
 val summary_to_json : summary -> string

@@ -528,7 +528,8 @@ let test_arrays_engine_fuses () =
   Trace.set_enabled true;
   Trace.clear ();
   Fun.protect ~finally:(fun () -> Trace.set_enabled false; Trace.clear ()) @@ fun () ->
-  ignore (Qdt.simulate ~backend:Qdt.Arrays_backend c);
+  ignore
+    (Qdt.Backend.run_once (Option.get (Qdt.Registry.find_session "arrays")) c Qdt.Job.Full_state);
   let spans =
     List.length
       (List.filter (fun (e : Trace.event) -> e.name = "sv.gate" && e.phase = Trace.Begin)

@@ -1,7 +1,7 @@
 (* Tests for the backend layer: registry contents, capability queries,
    typed unsupported-operation errors, the shared admission guard, the
-   Auto dispatcher's routing, the unified stats record, and shim
-   consistency of the old Qdt API. *)
+   Auto dispatcher's routing, the unified stats record, and agreement
+   between the registered engines. *)
 
 open Qdt_circuit
 module Backend = Qdt.Backend
@@ -274,29 +274,16 @@ let test_stats_renderers () =
     [ "dd.peak_nodes=1234567"; "dd.unique_hit_rate=0.5"; "tableau_bytes=96"; "\nchoice: why" ]
 
 (* ------------------------------------------------------------------ *)
-(* Shim consistency and cross-backend agreement                        *)
+(* Cross-backend agreement                                             *)
 (* ------------------------------------------------------------------ *)
-
-let test_shim_matches_registry () =
-  let c = Generators.qft 5 in
-  let via_shim = Qdt.simulate ~backend:Qdt.Decision_diagrams c in
-  let via_registry =
-    match run "decision-diagrams" c Job.Full_state with
-    | Ok (Job.State v, _) -> v
-    | _ -> assert false
-  in
-  Alcotest.(check bool) "identical states" true
-    (Vec.approx_equal ~eps:1e-12 via_shim via_registry);
-  (* the shim still raises on unsupported combinations *)
-  (match Qdt.simulate ~backend:Qdt.Stabilizer_backend c with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "stabilizer simulate should raise through the shim");
-  Alcotest.(check string) "auto variant registered" "auto"
-    (Qdt.backend_name Qdt.Auto_backend)
 
 let test_backends_agree () =
   let c = Generators.w_state 6 in
-  let reference = Qdt.simulate ~backend:Qdt.Arrays_backend c in
+  let reference =
+    match run "arrays" c Job.Full_state with
+    | Ok (Job.State v, _) -> v
+    | _ -> Alcotest.fail "arrays: no state for w(6)"
+  in
   List.iter
     (fun ((module S : Backend.SESSION) as engine) ->
       match Backend.run_once engine c Job.Full_state with
@@ -314,8 +301,13 @@ let test_seeded_determinism () =
     Circuit.(
       empty 2 ~clbits:2 |> h 0 |> measure ~qubit:0 ~clbit:0 |> cx 0 1)
   in
-  let v1 = Qdt.expectation_z ~backend:Qdt.Stabilizer_backend ~seed:7 c 1 in
-  let v2 = Qdt.expectation_z ~backend:Qdt.Stabilizer_backend ~seed:7 c 1 in
+  let expectation () =
+    match run "stabilizer" c (Job.Expectation_z { seed = 7; qubit = 1 }) with
+    | Ok (Job.Expectation v, _) -> v
+    | _ -> Alcotest.fail "stabilizer: no expectation"
+  in
+  let v1 = expectation () in
+  let v2 = expectation () in
   Alcotest.(check (float 0.0)) "same seed same result" v1 v2;
   Alcotest.(check bool) "collapsed" true (Float.abs v1 = 1.0)
 
@@ -347,7 +339,6 @@ let () =
         ] );
       ( "shim",
         [
-          Alcotest.test_case "matches registry" `Quick test_shim_matches_registry;
           Alcotest.test_case "backends agree" `Quick test_backends_agree;
           Alcotest.test_case "seeded determinism" `Quick test_seeded_determinism;
         ] );

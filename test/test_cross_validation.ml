@@ -31,13 +31,22 @@ let workloads =
 let reference c =
   Qdt.Arrays.Statevector.to_vec (Qdt.Arrays.Statevector.run_unitary c)
 
+(* [run_ok backend c job] — one job on a fresh engine of the registered
+   [backend]. *)
+let run_ok backend c job =
+  match Qdt.Backend.run_once (Option.get (Qdt.Registry.find_session backend)) c job with
+  | Ok (result, _) -> result
+  | Error e -> Alcotest.fail (Qdt.Backend.error_to_string e)
+
 let test_backend backend () =
   List.iter
     (fun (name, c) ->
       let expect = reference c in
-      let got = Qdt.simulate ~backend c in
-      if not (Vec.approx_equal ~eps:1e-6 expect got) then
-        Alcotest.failf "%s disagrees on %s" (Qdt.backend_name backend) name)
+      match run_ok backend c Qdt.Job.Full_state with
+      | Qdt.Job.State got ->
+          if not (Vec.approx_equal ~eps:1e-6 expect got) then
+            Alcotest.failf "%s disagrees on %s" backend name
+      | _ -> Alcotest.failf "%s: not a state payload" backend)
     workloads
 
 let test_ch_form_on_clifford () =
@@ -76,9 +85,14 @@ let test_sampling_backends_agree () =
   let freq counts k =
     Float.of_int (Option.value ~default:0 (List.assoc_opt k counts)) /. Float.of_int shots
   in
-  let arr = Qdt.sample ~backend:Qdt.Arrays_backend ~seed:1 ~shots c in
-  let dd = Qdt.sample ~backend:Qdt.Decision_diagrams ~seed:2 ~shots c in
-  let stab = Qdt.sample ~backend:Qdt.Stabilizer_backend ~seed:3 ~shots c in
+  let sample backend seed =
+    match run_ok backend c (Qdt.Job.Sample { seed; shots }) with
+    | Qdt.Job.Counts counts -> counts
+    | _ -> Alcotest.failf "%s: not a counts payload" backend
+  in
+  let arr = sample "arrays" 1 in
+  let dd = sample "decision-diagrams" 2 in
+  let stab = sample "stabilizer" 3 in
   List.iter
     (fun k ->
       List.iter
@@ -139,9 +153,9 @@ let () =
     [
       ( "simulators",
         [
-          Alcotest.test_case "decision diagrams" `Quick (test_backend Qdt.Decision_diagrams);
-          Alcotest.test_case "tensor network" `Slow (test_backend Qdt.Tensor_network);
-          Alcotest.test_case "mps" `Slow (test_backend Qdt.Mps);
+          Alcotest.test_case "decision diagrams" `Quick (test_backend "decision-diagrams");
+          Alcotest.test_case "tensor network" `Slow (test_backend "tensor-network");
+          Alcotest.test_case "mps" `Slow (test_backend "mps");
           Alcotest.test_case "ch form (clifford)" `Quick test_ch_form_on_clifford;
           Alcotest.test_case "stabilizer rank" `Quick test_stabilizer_rank_spot_amplitudes;
           Alcotest.test_case "sampling" `Quick test_sampling_backends_agree;

@@ -33,7 +33,10 @@ let p_bit counts bit =
   float_of_int ones /. float_of_int (max 1 total)
 
 let sample backend ?(seed = 11) ?(shots = 2000) c =
-  Qdt.sample ~backend ~seed ~shots c
+  match Backend.run_once (get backend) c (Qdt.Job.Sample { seed; shots }) with
+  | Ok (Qdt.Job.Counts counts, _) -> counts
+  | Ok _ -> Alcotest.failf "%s: not a counts payload" backend
+  | Error e -> Alcotest.fail (Backend.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Construction-time validation                                        *)
@@ -223,7 +226,7 @@ let qasm_roundtrip_prop =
 let test_static_rng_stream () =
   let c = Generators.ghz 4 in
   let seed = 17 and shots = 500 in
-  let counts = sample Qdt.Arrays_backend ~seed ~shots c in
+  let counts = sample "arrays" ~seed ~shots c in
   let sv, _clbits = Sv.run ~seed c in
   let expected = Sv.sample ~seed:(seed + 1) sv ~shots in
   Alcotest.(check (list (pair int int))) "bit-identical counts" expected counts
@@ -242,7 +245,7 @@ let test_teleportation_backends () =
       let p = p_bit counts 2 in
       if Float.abs (p -. 0.5) > 0.05 then
         Alcotest.failf "p(c2=1) = %.3f, expected 0.5" p)
-    [ Qdt.Arrays_backend; Qdt.Decision_diagrams; Qdt.Stabilizer_backend ]
+    [ "arrays"; "decision-diagrams"; "stabilizer" ]
 
 (* Cross-backend agreement: same physics, so the teleported marginal of
    every backend lands within statistical tolerance of the others. *)
@@ -251,7 +254,7 @@ let test_teleportation_agreement () =
   let marginals =
     List.map
       (fun backend -> p_bit (sample backend ~seed:7 ~shots:2000 c) 2)
-      [ Qdt.Arrays_backend; Qdt.Decision_diagrams; Qdt.Stabilizer_backend ]
+      [ "arrays"; "decision-diagrams"; "stabilizer" ]
   in
   List.iter
     (fun p ->
@@ -272,7 +275,7 @@ let test_teleportation_theta_prep () =
       let p = p_bit (sample backend ~seed:23 ~shots:4000 c) 2 in
       if Float.abs (p -. p_target) > 0.04 then
         Alcotest.failf "p(c2=1) = %.3f, expected %.3f" p p_target)
-    [ Qdt.Arrays_backend; Qdt.Decision_diagrams ]
+    [ "arrays"; "decision-diagrams" ]
 
 let test_repeat_until_success () =
   let rounds = 3 in
@@ -292,7 +295,7 @@ let test_repeat_until_success () =
       in
       if Float.abs (p -. p_success) > 0.04 then
         Alcotest.failf "p(success) = %.3f, expected %.3f" p p_success)
-    [ Qdt.Arrays_backend; Qdt.Decision_diagrams ]
+    [ "arrays"; "decision-diagrams" ]
 
 let test_repetition_code () =
   List.iter
@@ -304,7 +307,7 @@ let test_repetition_code () =
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "error=%b corrected to |000>" error)
             [ (0, 300) ] counts)
-        [ Qdt.Arrays_backend; Qdt.Decision_diagrams; Qdt.Stabilizer_backend ])
+        [ "arrays"; "decision-diagrams"; "stabilizer" ])
     [ false; true ]
 
 (* Trajectories execute dynamic circuits through the statevector's
@@ -332,7 +335,7 @@ let test_seed_reproducibility () =
       let a = sample backend ~seed:42 ~shots:400 c in
       let b = sample backend ~seed:42 ~shots:400 c in
       Alcotest.(check (list (pair int int))) "same seed, same counts" a b)
-    [ Qdt.Arrays_backend; Qdt.Decision_diagrams; Qdt.Stabilizer_backend ]
+    [ "arrays"; "decision-diagrams"; "stabilizer" ]
 
 (* ------------------------------------------------------------------ *)
 (* Capabilities and routing                                            *)
@@ -370,10 +373,10 @@ let test_typed_declines () =
     probes
 
 let test_auto_routes_dynamic () =
-  let counts = sample Qdt.Auto_backend ~shots:500 (Generators.teleportation ()) in
+  let counts = sample "auto" ~shots:500 (Generators.teleportation ()) in
   Alcotest.(check int) "auto keeps all shots" 500 (shots_of counts);
   (* T-heavy dynamic circuit: auto must avoid MPS/TN and still succeed. *)
-  let counts = sample Qdt.Auto_backend ~shots:500 (Generators.repeat_until_success ()) in
+  let counts = sample "auto" ~shots:500 (Generators.repeat_until_success ()) in
   Alcotest.(check int) "auto handles non-Clifford dynamic" 500 (shots_of counts)
 
 let () =

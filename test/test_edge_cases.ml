@@ -248,16 +248,27 @@ let test_tableau_swap_consistency () =
 (* Cross-backend agreement on the new generators                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [run_ok backend c job] — one job on a fresh engine of the registered
+   [backend]. *)
+let run_ok backend c job =
+  match Qdt.Backend.run_once (Option.get (Qdt.Registry.find_session backend)) c job with
+  | Ok (result, _) -> result
+  | Error e -> Alcotest.fail (Qdt.Backend.error_to_string e)
+
+let state backend c =
+  match run_ok backend c Qdt.Job.Full_state with
+  | Qdt.Job.State v -> v
+  | _ -> Alcotest.failf "%s: not a state payload" backend
+
 let test_backends_agree_on_new_generators () =
   List.iter
     (fun (name, c) ->
-      let reference = Qdt.simulate ~backend:Qdt.Arrays_backend c in
+      let reference = state "arrays" c in
       List.iter
         (fun backend ->
-          let state = Qdt.simulate ~backend c in
-          if not (Vec.approx_equal ~eps:1e-7 reference state) then
-            Alcotest.failf "%s: %s disagrees" name (Qdt.backend_name backend))
-        [ Qdt.Decision_diagrams; Qdt.Tensor_network; Qdt.Mps ])
+          if not (Vec.approx_equal ~eps:1e-7 reference (state backend c)) then
+            Alcotest.failf "%s: %s disagrees" name backend)
+        [ "decision-diagrams"; "tensor-network"; "mps" ])
     [
       ("qaoa", Generators.qaoa_maxcut ~seed:2 ~layers:1 4);
       ("hidden shift", Generators.hidden_shift ~shift:9 4);
@@ -268,11 +279,10 @@ let test_expectation_z_uniform_api () =
   let c = Generators.w_state 4 in
   List.iter
     (fun backend ->
-      Alcotest.(check (float 1e-7))
-        (Qdt.backend_name backend)
-        0.5
-        (Qdt.expectation_z ~backend c 1))
-    [ Qdt.Arrays_backend; Qdt.Decision_diagrams; Qdt.Tensor_network; Qdt.Mps ]
+      match run_ok backend c (Qdt.Job.Expectation_z { seed = 0; qubit = 1 }) with
+      | Qdt.Job.Expectation v -> Alcotest.(check (float 1e-7)) backend 0.5 v
+      | _ -> Alcotest.failf "%s: not an expectation payload" backend)
+    [ "arrays"; "decision-diagrams"; "tensor-network"; "mps" ]
 
 let () =
   Alcotest.run "qdt_edge_cases"

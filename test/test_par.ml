@@ -64,27 +64,30 @@ let test_reductions_agree () =
 
 let counts ~jobs ~backend c =
   Qdt_par.set_jobs jobs;
-  Qdt.sample ~backend ~seed:11 ~shots:400 c
+  let engine = Option.get (Qdt.Registry.find_session backend) in
+  match Qdt.Backend.run_once engine c (Qdt.Job.Sample { seed = 11; shots = 400 }) with
+  | Ok (Qdt.Job.Counts counts, _) -> counts
+  | _ -> Alcotest.failf "%s: no counts" backend
 
 let total = List.fold_left (fun acc (_, n) -> acc + n) 0
 
 let test_dynamic_counts_arrays () =
   let teleport = Generators.teleportation () in
-  let c1 = counts ~jobs:1 ~backend:Qdt.Arrays_backend teleport in
-  let c1' = counts ~jobs:1 ~backend:Qdt.Arrays_backend teleport in
+  let c1 = counts ~jobs:1 ~backend:"arrays" teleport in
+  let c1' = counts ~jobs:1 ~backend:"arrays" teleport in
   Alcotest.(check (list (pair int int))) "jobs=1 reproducible" c1 c1';
-  let c2 = counts ~jobs:2 ~backend:Qdt.Arrays_backend teleport in
-  let c4 = counts ~jobs:4 ~backend:Qdt.Arrays_backend teleport in
+  let c2 = counts ~jobs:2 ~backend:"arrays" teleport in
+  let c4 = counts ~jobs:4 ~backend:"arrays" teleport in
   Alcotest.(check (list (pair int int))) "jobs=2 == jobs=4" c2 c4;
   Alcotest.(check int) "same shot total" (total c1) (total c2)
 
 let test_dynamic_counts_stabilizer () =
   let repetition = Generators.repetition_code ~cycles:2 () in
-  let c1 = counts ~jobs:1 ~backend:Qdt.Stabilizer_backend repetition in
-  let c1' = counts ~jobs:1 ~backend:Qdt.Stabilizer_backend repetition in
+  let c1 = counts ~jobs:1 ~backend:"stabilizer" repetition in
+  let c1' = counts ~jobs:1 ~backend:"stabilizer" repetition in
   Alcotest.(check (list (pair int int))) "jobs=1 reproducible" c1 c1';
-  let c2 = counts ~jobs:2 ~backend:Qdt.Stabilizer_backend repetition in
-  let c4 = counts ~jobs:4 ~backend:Qdt.Stabilizer_backend repetition in
+  let c2 = counts ~jobs:2 ~backend:"stabilizer" repetition in
+  let c4 = counts ~jobs:4 ~backend:"stabilizer" repetition in
   Alcotest.(check (list (pair int int))) "jobs=2 == jobs=4" c2 c4;
   Alcotest.(check int) "same shot total" (total c1) (total c2)
 

@@ -1,5 +1,5 @@
 (* Tests for the obs analysis layer: Stats (median/MAD/percentile on
-   known samples), Profile (hand-built event streams with known
+   known samples, and when two timings separate), Profile (hand-built event streams with known
    self/total times, including nested spans, wrapped rings and unclosed
    spans, plus a folded-stacks round trip), Baseline (JSON round trip and
    the regression threshold: a 3x inflated timing must flag, a
@@ -372,6 +372,21 @@ let test_min_gating_rejects_noise () =
   in
   Alcotest.(check bool) "clean best rep passes" false cmp.Baseline.any_regressed
 
+(* [Stats.separated]: at least 5 samples a side, and every sample of one
+   side beats every sample of the other. *)
+let test_separated () =
+  let fast = (List.hd baseline.Baseline.timings).Baseline.timing in
+  let inflated = (List.hd (current ~label:"unit/fast" ~scale:3.0).Baseline.timings).Baseline.timing in
+  Alcotest.(check bool) "3x inflation separates" true (Stats.separated fast inflated);
+  Alcotest.(check bool) "either order" true (Stats.separated inflated fast);
+  let low = Stats.summary [| 1.0; 2.0; 3.0; 4.0 |] and high = Stats.summary [| 10.0; 11.0; 12.0; 13.0 |] in
+  Alcotest.(check bool) "disjoint but 4 samples a side" false (Stats.separated low high);
+  Alcotest.(check bool) "disjoint but 4 samples on one side" false
+    (Stats.separated (Stats.summary [| 1.0; 2.0; 3.0; 4.0; 5.0 |]) high);
+  let a = Stats.summary [| 10.0; 11.0; 12.0; 13.0; 14.0 |] in
+  let b = Stats.summary [| 13.5; 14.5; 15.0; 16.0; 17.0 |] in
+  Alcotest.(check bool) "overlapping 5-sample draws" false (Stats.separated a b)
+
 let () =
   Alcotest.run "qdt_profile"
     [
@@ -381,6 +396,7 @@ let () =
           Alcotest.test_case "mad" `Quick test_mad;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "summary json round trip" `Quick test_summary_roundtrip;
+          Alcotest.test_case "separated" `Quick test_separated;
         ] );
       ( "profile",
         [
